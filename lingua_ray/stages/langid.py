@@ -33,6 +33,21 @@ from .util import set_column
 
 _ISO_LOOKUP = np.array(list(C.ISO1_CODES) + [C.UNKNOWN_CODE])
 
+# Columns LangIdScorer writes with its defaults (with_ppl, no top-k), in order.
+LANGID_COLUMNS = {"lang": pa.string(), "lang_confidence": pa.float64(),
+                  "ppl": pa.float64()}
+
+
+def reserve_langid_columns(batch: pa.Table) -> pa.Table:
+    """Append typed all-null ``LANGID_COLUMNS`` that the batch lacks.  A
+    later LangIdScorer overwrites them in place, so its columns keep the
+    position they get when langid is the first stage, even when stages that
+    append columns run before it."""
+    for name, typ in LANGID_COLUMNS.items():
+        if name not in batch.schema.names:
+            batch = batch.append_column(name, pa.nulls(batch.num_rows, typ))
+    return batch
+
 
 class LangIdScorer:
     def __init__(self, text_col: str = "text",

@@ -3,7 +3,10 @@ produce output identical to an uninterrupted run."""
 
 import json
 
+import numpy as np
+import pyarrow as pa
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 import pytest
 
 from lingua_ray.pipelines.quality_filter import PipelineOptions
@@ -24,6 +27,20 @@ def _opts():
 def _read_sorted(data_dir):
     t = pads.dataset(str(data_dir), partitioning="hive").to_table()
     return t.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
+
+
+def _assert_tables_equal(ta, tb, skip=()):
+    assert ta.num_rows == tb.num_rows
+    for col in ta.schema.names:
+        if col in skip:
+            continue
+        a, b = ta.column(col), tb.column(col)
+        if col == "ppl":  # Arrow equals() treats NaN != NaN
+            av = np.array(a.to_pylist(), dtype=np.float64)
+            bv = np.array(b.to_pylist(), dtype=np.float64)
+            assert ((av == bv) | (np.isnan(av) & np.isnan(bv))).all()
+        else:
+            assert a.equals(b), col
 
 
 def test_interrupt_and_resume(ray_session, turns_dir, tmp_path):
@@ -50,17 +67,7 @@ def test_interrupt_and_resume(ray_session, turns_dir, tmp_path):
     CheckpointedRun(turns_dir, out_b, _opts()).run(wave_size=6)
     ta, tb = _read_sorted(out_a / "data"), _read_sorted(out_b / "data")
     assert ta.num_rows == tb.num_rows == 2000
-    import numpy as np
-    for col in ta.schema.names:
-        if col == "shard_id":
-            continue
-        a, b = ta.column(col), tb.column(col)
-        if col == "ppl":  # Arrow equals() treats NaN != NaN
-            av = np.array(a.to_pylist(), dtype=np.float64)
-            bv = np.array(b.to_pylist(), dtype=np.float64)
-            assert ((av == bv) | (np.isnan(av) & np.isnan(bv))).all()
-        else:
-            assert a.equals(b), col
+    _assert_tables_equal(ta, tb, skip=("shard_id",))
 
 
 def test_manifest_contents_and_metrics(ray_session, turns_dir, tmp_path):
@@ -139,6 +146,78 @@ def test_zero_output_shard_commits_empty_manifest(ray_session, turns_dir,
         assert m["lang_histogram"] == {}
     # resume skips the committed-empty shards
     assert run.pending_shards() == [2, 3, 4, 5]
+
+
+# (kind, text) rows for the corpus-free keep_only test: only "english"
+# passes every check; the others fail a language-independent check, are
+# not English, or both.
+_KIND_TEXTS = [
+    ("english", "the quick brown fox jumps over the lazy dog"),
+    ("english", "we went to the market and bought some fresh bread"),
+    ("english", "please send me the report before the meeting starts"),
+    ("english", "this is a simple sentence about the weather today"),
+    ("one_word", "hello"),
+    ("two_words", "thanks again"),
+    ("toxic", "you are such an idiot for saying that"),
+    ("toxic", "i really hate waiting for the bus in the rain"),
+    ("digits", "123 4567 8901 2345 6789"),
+    ("digits", "00 11 22 33 44 55 66 77"),
+    ("cyrillic", "привет как у тебя дела сегодня вечером"),
+    ("empty", ""),
+    ("null", None),
+]
+
+
+def _write_kind_shards(turns_dir, n_shards=2, reps=12):
+    rows = [(kind, text) for _ in range(reps) for kind, text in _KIND_TEXTS]
+    turns_dir.mkdir(parents=True)
+    for s in range(n_shards):
+        part = rows[s::n_shards]
+        pq.write_table(pa.table({
+            "conv_id": pa.array([f"c{s}-{i // 5:03d}"
+                                 for i in range(len(part))]),
+            "turn_idx": pa.array([i % 5 for i in range(len(part))],
+                                 pa.int32()),
+            "kind": pa.array([k for k, _ in part]),
+            "text": pa.array([t for _, t in part], pa.string()),
+        }), turns_dir / f"part-{s:05d}.parquet")
+
+
+def _cheap_checks_stage(strict: bool):
+    """Extra stage that appends the language-independent mask; ``strict``
+    fails the run if any row it sees does not pass the checks."""
+    def cheap_ok(batch):
+        from lingua_ray.stages.keep import passes_language_independent_checks
+        ok = passes_language_independent_checks(batch)
+        if strict and not ok.all():
+            raise AssertionError("extra stage saw a cheap-check failure")
+        return batch.append_column("cheap_ok", pa.array(ok, pa.bool_()))
+    return cheap_ok
+
+
+def test_keep_only_equals_default_filtered_on_keep(ray_session, tmp_path):
+    """keep_only runs the language-independent checks before langid; the
+    rows, values and column order must equal the default order's output
+    filtered on ``keep``.  Corpus-free: with one language and no ppl
+    threshold, ``keep`` does not depend on the model artifact's content."""
+    turns = tmp_path / "kinds"
+    _write_kind_shards(turns)
+    outs = {}
+    for keep_only in (False, True):
+        opts = PipelineOptions(languages=["en"], ppl_threshold=float("inf"),
+                               langid_concurrency=1, keep_only=keep_only,
+                               extra_stages=[_cheap_checks_stage(keep_only)])
+        out = tmp_path / f"out_keep_only_{keep_only}"
+        CheckpointedRun(turns, out, opts).run(wave_size=2)
+        outs[keep_only] = _read_sorted(out / "data")
+    full, kept = outs[False], outs[True]
+
+    assert full.num_rows == 12 * len(_KIND_TEXTS)
+    assert set(full.column("kind").to_pylist()) == {k for k, _ in _KIND_TEXTS}
+    assert kept.column_names == full.column_names
+    assert kept.num_rows > 0
+    _assert_tables_equal(kept, full.filter(full.column("keep")))
+    assert set(kept.column("kind").to_pylist()) == {"english"}
 
 
 def test_resume_invalidated_by_input_listing_change(ray_session, turns_dir,

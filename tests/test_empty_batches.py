@@ -73,3 +73,33 @@ def test_round3_kernels_empty():
     assert keys == []
     q = w.append_column("_key", pa.array([], pa.float64()))
     assert S._smallest_k(q, "doc_id", 5).num_rows == 0
+
+
+def test_keep_only_stages_empty_and_all_null_text():
+    """The keep_only stage order, run batch by batch, on a 0-row batch and
+    on a batch whose text is all null (Ray Data may type such a block's
+    column as null): no row survives the language-independent checks, the
+    langid actor takes the empty batch, and the columns come out in the
+    default order's sequence."""
+    from lingua_ray.stages.keep import (drop_language_independent_failures,
+                                        drop_unkept, keep_batch,
+                                        passes_language_independent_checks)
+    from lingua_ray.stages.langid import LangIdScorer, reserve_langid_columns
+    from lingua_ray.stages.quality import quality_batch
+    from lingua_ray.stages.scrub import scrub_batch
+
+    scorer = LangIdScorer(languages=["en", "de"])
+    for text in (pa.array([], pa.string()), pa.nulls(3, pa.string()),
+                 pa.nulls(3)):
+        t = pa.table({"text": text})
+        default = keep_batch(scrub_batch(quality_batch(scorer(t))))
+        pre = scrub_batch(quality_batch(reserve_langid_columns(t)))
+        mask = passes_language_independent_checks(pre)
+        assert mask.dtype == bool and len(mask) == len(text)
+        assert not mask.any()
+        survivors = drop_language_independent_failures(pre)
+        assert survivors.num_rows == 0
+        assert survivors.schema == pre.schema
+        out = drop_unkept(keep_batch(scorer(survivors)))
+        assert out.num_rows == 0
+        assert out.column_names == default.column_names
