@@ -29,7 +29,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..chartables import encode_batch
-from ..models import MAX_N, rolling_hashes, valid_window_mask
+from ..models import MAX_N, rolling_hashes, valid_window_starts
 from ..textprep import clean_batch
 
 _CP_BITS = np.uint64(21)  # all Unicode code points < 0x110000 < 2^21
@@ -158,8 +158,7 @@ def ngram_hash_count_local(batch: pa.Table, text_col: str = "text",
         idx = np.flatnonzero(langs == lang)
         cb = clean_batch([texts[i] for i in idx])
         hashes = rolling_hashes(cb.cps)
-        for n in range(1, MAX_N + 1):
-            starts = np.flatnonzero(valid_window_mask(cb, n))
+        for n, starts in enumerate(valid_window_starts(cb), 1):
             if len(starts) == 0:
                 continue
             h = hashes[n - 1][starts]

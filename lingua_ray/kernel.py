@@ -8,12 +8,17 @@ the reference's per-string, per-(language, n) fan-out
   reductions over (word, language) vote pairs;
 * candidate filtering (``filterLanguagesByRules``, ``:475-543``) becomes
   segment reductions + a (rows × scripts) @ (scripts × languages) mask matmul;
-* n-gram scoring with prefix backoff (``:593-659``) becomes, per language,
-  ``np.searchsorted`` passes over the batch's deduplicated rolling-hash
-  windows, walking n → n−1 on the miss set only.
+* n-gram scoring with prefix backoff (``:593-659``) probes each order's
+  distinct rolling hashes once against all languages' tables merged
+  (:meth:`~lingua_ray.models.NgramModels.lookup_all_languages`), resolves
+  the n → n−1 backoff per language on those distinct sets through a parent
+  map, and then costs one gather and one (row, level) ``bincount`` per
+  deduplicated window and candidate language.
 
 Semantics are validated row-for-row against the scalar transcription in
-:mod:`lingua_ray.reference_impl` by ``tests/test_kernel_vs_scalar.py``.
+:mod:`lingua_ray.reference_impl` by ``tests/test_kernel_vs_scalar.py``, and
+the scoring bit for bit against its previous per-(language, level) walk by
+``tests/test_kernel_synthetic.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from . import constants as C
 from .chartables import CHARLANG_MASK, IS_LETTER, MASK_TABLE_SIZE, SCRIPT_ID, UNIQUE_CHAR_MASK
-from .models import MAX_N, NgramModels, rolling_hashes
+from .models import NgramModels, rolling_hashes, valid_window_starts
 from .textprep import CharBatch, build_word_batch, clean_batch
 
 _HAN = C.SCRIPT_INDEX["HAN"]
@@ -59,6 +64,17 @@ def _gather_rows(cleaned: CharBatch, rows: np.ndarray) -> CharBatch:
     base = np.repeat(offs[rows], lens)
     within = np.arange(total, dtype=np.int64) - np.repeat(sub_offsets[:-1], lens)
     return CharBatch(cleaned.cps[base + within], sub_offsets)
+
+
+def _distinct_windows(row: np.ndarray, rank: np.ndarray, n_distinct: int):
+    """Distinct windows per row, in (row, hash) order.
+
+    ``row`` and ``rank`` give each window's row and the rank of its hash
+    among the ``n_distinct`` distinct hashes (``np.unique`` order, so rank
+    order is hash order).  Returns (row, rank), one entry per distinct pair.
+    """
+    key = np.unique(row * n_distinct + rank)
+    return key // n_distinct, key % n_distinct
 
 
 @dataclass
@@ -314,10 +330,17 @@ class Detector:
         rows: global row indices; cand: (len(rows), NUM_LANGUAGES) bool.
         Returns (totals float64[g, L], unigram counts int64[g, L]).
 
-        Model probes are deduplicated *batch-globally*: per backoff level k
-        the distinct hashes across all rows are looked up ONCE per language
-        (one searchsorted on the distinct set), and the per-window backoff
-        walk becomes pure integer gathers.
+        Per order k the group's distinct k-grams are probed once against
+        every language (:meth:`NgramModels.lookup_all_languages`).  A parent
+        map sends each distinct k-gram to its (k−1)-prefix, so the backoff
+        resolves on the distinct sets: per language, each distinct k-gram
+        gets the ln f and level of its longest prefix the language stores.
+        A deduplicated (row, n0) window then costs one gather, and one
+        bincount keyed by (row, level) keeps the reference's summation
+        order: per level in (row, hash) order, levels from n0 down to 1.
+        The parent map assumes no 64-bit hash collision among one group's
+        k-grams of the same length (the model build already merges such
+        keys).
         """
         g = len(rows)
         totals = np.zeros((g, C.NUM_LANGUAGES), dtype=np.float64)
@@ -325,97 +348,77 @@ class Detector:
         if g == 0:
             return totals, unicnt
 
+        # Rows with equal candidate sets side by side: a language's
+        # candidate windows are then a few contiguous runs.  Sums stay per
+        # row, so the row order changes no bit of the result.
+        perm = np.lexsort(cand.T)
+        rows, cand = rows[perm], cand[perm]
         sub = _gather_rows(cleaned, rows)
-        H = rolling_hashes(sub.cps, MAX_N)
-        is_letter = IS_LETTER[sub.cps] if len(sub.cps) else np.zeros(0, bool)
-        cum = np.zeros(len(sub.cps) + 1, dtype=np.int64)
-        np.cumsum(is_letter, out=cum[1:])
+        max_n = max(ns)
+        H = rolling_hashes(sub.cps, max_n)
+        valid = valid_window_starts(sub, max_n)
         row_id = sub.row_ids()
-        n_pos = len(sub.cps)
-        max_n = max(ns) if ns else 0
 
-        # Per level k: valid-window starts, distinct hashes, start→index map.
-        level_distinct: dict[int, np.ndarray] = {}
-        level_idx: dict[int, np.ndarray] = {}
-        valid_starts: dict[int, np.ndarray] = {}
+        # Per order k: the parent map D_k -> D_{k-1} of the distinct
+        # k-grams D_k, the distinct (row, k-gram) windows with each row's
+        # offset among them, and per language its hits as (rank in D_k, ln f).
+        parent, windows, hits = {}, {}, {}
+        prev_rank = None
         for k in range(1, max_n + 1):
-            n_windows = n_pos - k + 1
-            if n_windows <= 0:
-                level_distinct[k] = np.zeros(0, dtype=np.uint64)
-                level_idx[k] = np.zeros(0, dtype=np.int64)
-                valid_starts[k] = np.zeros(0, dtype=np.int64)
-                continue
-            all_letters = (cum[k:] - cum[:-k]) == k
-            same_row = row_id[:n_windows] == row_id[k - 1:]
-            starts_k = np.flatnonzero(all_letters & same_row)
-            valid_starts[k] = starts_k
-            D, inv = np.unique(H[k - 1][starts_k], return_inverse=True)
-            idx = np.full(n_pos, -1, dtype=np.int64)
-            idx[starts_k] = inv
-            level_distinct[k] = D
-            level_idx[k] = idx
-
-        # Deduplicated probe windows per (row, n0), with per-level distinct
-        # indices precomputed ONCE (shared by all languages — the backoff
-        # walk then only gathers into per-language frequency vectors).
-        uniq: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        probe_idx: dict[int, list[np.ndarray]] = {}
-        for n in ns:
-            starts = valid_starts.get(n, np.zeros(0, dtype=np.int64))
-            if len(starts) == 0:
-                uniq[n] = (starts, starts)
-                probe_idx[n] = []
-                continue
-            h = H[n - 1][starts]
-            r = row_id[starts]
-            order = np.lexsort((h, r))
-            hs, rs, ss = h[order], r[order], starts[order]
-            first = np.concatenate(
-                [[True], (hs[1:] != hs[:-1]) | (rs[1:] != rs[:-1])])
-            u_starts = ss[first]
-            uniq[n] = (u_starts, rs[first])
-            # probe_idx[n][k-1][j] = index into level_distinct[k] for the
-            # k-prefix of probe window j
-            probe_idx[n] = [level_idx[k][u_starts] for k in range(1, n + 1)]
+            starts = valid[k - 1]
+            D, rank = np.unique(H[k - 1][starts], return_inverse=True)
+            if k == 1:
+                n_unigrams = len(D)
+            else:
+                parent[k] = np.empty(len(D), dtype=np.int64)
+                parent[k][rank] = prev_rank[starts]
+            prev_rank = np.empty(len(sub.cps), dtype=np.int64)
+            prev_rank[starts] = rank
+            if k in ns:
+                w_row, w_rank = _distinct_windows(row_id[starts], rank, len(D))
+                windows[k] = (w_row, w_rank,
+                              np.searchsorted(w_row, np.arange(g + 1)))
+            pos, hit_lang, freq = self.models.lookup_all_languages(k, D)
+            by_lang = np.argsort(hit_lang, kind="stable")
+            bounds = np.searchsorted(hit_lang[by_lang],
+                                     np.arange(C.NUM_LANGUAGES + 1))
+            hits[k] = (bounds, pos[by_lang],
+                       np.log(freq[by_lang].astype(np.float64)))
 
         cjk_set = set(_CJK_BOOST_LANGS.tolist())
-        for lang in range(C.NUM_LANGUAGES):
-            rows_l = cand[:, lang]
-            if not rows_l.any():
-                continue
-            # One distinct-set lookup per level for this language; log is
-            # taken ONCE on the distinct frequencies (misses -> +inf
-            # sentinel), so the per-window backoff walk below does integer
-            # gathers only — no repeated np.log over gathered windows.
-            logf = {}
+        for lang in np.flatnonzero(cand.any(axis=0)):
+            # [start, end) row ranges where the language is a candidate
+            runs = np.flatnonzero(np.diff(cand[:, lang], prepend=False,
+                                          append=False)).reshape(-1, 2)
+            # best[k] = (ln f, level) of each distinct k-gram's longest
+            # stored prefix; level 0 (ln f 0) where no prefix is stored.
+            best = {}
+            lnf = np.zeros(n_unigrams, dtype=np.float64)
+            level = np.zeros(n_unigrams, dtype=np.int8)
             for k in range(1, max_n + 1):
-                if not len(level_distinct[k]):
-                    continue
-                f = self.models.lookup_hashes(lang, k, level_distinct[k])
-                logf[k] = np.log(f, out=np.full_like(f, np.inf),
-                                 where=f > 0)
+                if k > 1:
+                    lnf, level = lnf[parent[k]], level[parent[k]]
+                bounds, pos, logf = hits[k]
+                lo, hi = bounds[lang], bounds[lang + 1]
+                lnf[pos[lo:hi]] = logf[lo:hi]
+                level[pos[lo:hi]] = k
+                best[k] = (lnf, level)
             for n0 in ns:
-                starts, rids = uniq[n0]
-                if len(starts) == 0:
-                    continue
-                p_pos = np.flatnonzero(rows_l[rids])
-                p_row = rids[p_pos]
+                lnf, level = best[n0]
+                w_row, w_rank, w_off = windows[n0]
+                spans = [slice(w_off[a], w_off[b]) for a, b in runs]
+                p_row = np.concatenate([w_row[s] for s in spans])
+                p_rank = np.concatenate([w_rank[s] for s in spans])
+                p_level = level[p_rank]
+                per_level = np.bincount(
+                    p_row * (n0 + 1) + p_level, weights=lnf[p_rank],
+                    minlength=g * (n0 + 1)).reshape(g, n0 + 1)
                 logsum = np.zeros(g, dtype=np.float64)
                 for k in range(n0, 0, -1):
-                    if len(p_pos) == 0:
-                        break
-                    if k not in logf:
-                        break
-                    lf = logf[k][probe_idx[n0][k - 1][p_pos]]
-                    hit = lf != np.inf
-                    if hit.any():
-                        logsum += np.bincount(
-                            p_row[hit], weights=lf[hit], minlength=g)
-                        if with_unigrams and n0 == 1:
-                            unicnt[:, lang] += np.bincount(
-                                p_row[hit], minlength=g)
-                    keep = ~hit
-                    p_pos, p_row = p_pos[keep], p_row[keep]
+                    logsum += per_level[:, k]
+                if with_unigrams and n0 == 1:
+                    unicnt[:, lang] = np.bincount(p_row[p_level == 1],
+                                                  minlength=g)
                 if lang in cjk_set:
                     logsum *= 0.85  # LanguageDetector.kt:577-586
                 totals[:, lang] += logsum
@@ -423,7 +426,9 @@ class Detector:
         # unigram-count division (LanguageDetector.kt:353-371)
         div = unicnt > 0
         totals = np.where(div, totals / np.where(div, unicnt, 1), totals)
-        return totals, unicnt
+        back = np.empty_like(perm)
+        back[perm] = np.arange(g)
+        return totals[back], unicnt[back]
 
     # ------------------------------------------------------------------ main
 
@@ -574,36 +579,29 @@ class Detector:
         logsum = np.zeros(g, dtype=np.float64)
         count = np.zeros(g, dtype=np.int64)
         n = 3
-        n_windows = len(sub.cps) - n + 1
-        if n_windows <= 0:
-            return logsum, count
         H = rolling_hashes(sub.cps, n)
-        is_letter = IS_LETTER[sub.cps]
-        cum = np.zeros(len(sub.cps) + 1, dtype=np.int64)
-        np.cumsum(is_letter, out=cum[1:])
-        row_id = sub.row_ids()
-        all_letters = (cum[n:] - cum[:-n]) == n
-        same_row = row_id[:n_windows] == row_id[n - 1:]
-        starts = np.flatnonzero(all_letters & same_row)
+        starts = valid_window_starts(sub, n)[n - 1]
         if len(starts) == 0:
             return logsum, count
-        h = H[n - 1][starts]
-        r = row_id[starts]
-        order = np.lexsort((h, r))
-        hs, rs, ss = h[order], r[order], starts[order]
-        first = np.concatenate([[True], (hs[1:] != hs[:-1]) | (rs[1:] != rs[:-1])])
-        p_start, p_row = ss[first], rs[first]
+        D, rank = np.unique(H[n - 1][starts], return_inverse=True)
+        p_row, p_rank = _distinct_windows(sub.row_ids()[starts], rank, len(D))
+        # prefix[k - 1][d] = hash of distinct trigram d's k-prefix (the
+        # parent map of _score_group, as hashes).
+        prefix = [np.empty(len(D), dtype=np.uint64) for _ in range(n - 1)]
+        for k in range(1, n):
+            prefix[k - 1][rank] = H[k - 1][starts]
+        prefix.append(D)
         count = np.bincount(p_row, minlength=g)
         for k in range(n, 0, -1):
-            if len(p_start) == 0:
+            if len(p_rank) == 0:
                 break
-            f = self.models.lookup_hashes(lang, k, H[k - 1][p_start])
+            f = self.models.lookup_hashes(lang, k, prefix[k - 1][p_rank])
             hit = f > 0
             if hit.any():
                 logsum += np.bincount(p_row[hit], weights=np.log(f[hit]),
                                       minlength=g)
-            p_start, p_row = p_start[~hit], p_row[~hit]
-        if len(p_start):
+            p_rank, p_row = p_rank[~hit], p_row[~hit]
+        if len(p_rank):
             # Trigrams that miss at every backoff level are OUT of the
             # language's vocabulary: charge the OOV floor instead of the
             # implicit ln P = 0, which would hand all-OOV gibberish the

@@ -22,6 +22,10 @@ prefix property gives the reference's backoff chain (5→4→3→2→1, first
 ``n-1`` chars — ``internal/Ngram.kt:47-55,140-159``) for free: the hash of a
 window's prefix of length k is the k-step partial product, all computable as
 vectorized prefix passes.
+
+Scoring probes every language at once: per n, :attr:`NgramModels.index`
+merges the 79 tables into one sorted array of distinct keys with CSR rows of
+(language, frequency), built from the same arrays on first use.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -81,20 +86,24 @@ def hash_ngram_str(ngram: str) -> np.uint64:
     return np.uint64(h)
 
 
-def valid_window_mask(batch: CharBatch, n: int) -> np.ndarray:
-    """Boolean mask over window starts: all-letter window within one row."""
-    cps, offsets = batch.cps, batch.offsets
-    n_windows = len(cps) - n + 1
-    if n_windows <= 0:
-        return np.zeros(0, dtype=bool)
-    is_letter = IS_LETTER[cps]
+def valid_window_starts(batch: CharBatch, max_n: int = MAX_N) -> list[np.ndarray]:
+    """Return [S1, ..., Smax_n]; Sn = starts of the all-letter n-windows that
+    lie within one row (sorted int64)."""
+    cps = batch.cps
     cum = np.zeros(len(cps) + 1, dtype=np.int64)
-    np.cumsum(is_letter, out=cum[1:])
-    all_letters = (cum[n:] - cum[:-n]) == n
-    # Window must not cross a row boundary: start and end in the same row.
+    np.cumsum(IS_LETTER[cps], out=cum[1:])
     row_id = batch.row_ids()
-    same_row = row_id[: n_windows] == row_id[n - 1:]
-    return all_letters & same_row
+    out = []
+    for n in range(1, max_n + 1):
+        n_windows = len(cps) - n + 1
+        if n_windows <= 0:
+            out.append(np.zeros(0, dtype=np.int64))
+            continue
+        all_letters = (cum[n:] - cum[:-n]) == n
+        # Window must not cross a row boundary: start and end in the same row.
+        same_row = row_id[:n_windows] == row_id[n - 1:]
+        out.append(np.flatnonzero(all_letters & same_row))
+    return out
 
 
 def train_language(texts: list[str]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -110,9 +119,7 @@ def train_language(texts: list[str]) -> dict[int, tuple[np.ndarray, np.ndarray]]
     batch = clean_batch(texts)
     hashes = rolling_hashes(batch.cps)
     counts_per_n: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for n in range(1, MAX_N + 1):
-        mask = valid_window_mask(batch, n)
-        starts = np.flatnonzero(mask)
+    for n, starts in enumerate(valid_window_starts(batch), 1):
         h = hashes[n - 1][starts] if len(starts) else np.zeros(0, np.uint64)
         if len(h) == 0:
             counts_per_n[n] = (np.zeros(0, np.uint64), np.zeros(0, np.int64),
@@ -271,6 +278,55 @@ class NgramModels:
         hit = keys[idx_c] == hashes
         out[hit] = vals[idx_c[hit]]
         return out
+
+    @cached_property
+    def index(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per n, every language's n-gram table merged into one CSR index:
+        ``(keys, offsets, lang, freq)``.  ``keys`` are the distinct keys,
+        sorted; key ``i``'s entries are ``lang[offsets[i]:offsets[i + 1]]``
+        (ascending) with frequencies ``freq[...]``.  Built from the artifact
+        arrays on first use, once per process, so loading a model stays
+        mmap-only.  A stored frequency of 0.0 reads as absent, as in
+        :meth:`lookup_hashes`."""
+        out = []
+        for n in range(1, MAX_N + 1):
+            tables = [self.keys[li][n - 1] for li in range(C.NUM_LANGUAGES)]
+            keys = np.concatenate(tables).astype(np.uint64, copy=False)
+            freq = np.concatenate(
+                [self.vals[li][n - 1] for li in range(C.NUM_LANGUAGES)]
+            ).astype(np.float32, copy=False)
+            lang = np.repeat(np.arange(C.NUM_LANGUAGES, dtype=np.int16),
+                             [len(t) for t in tables])
+            live = freq > 0
+            # Stable: a key's entries stay in language order.
+            order = np.flatnonzero(live)[
+                np.argsort(keys[live], kind="stable")]
+            keys = keys[order]
+            new_key = np.ones(len(keys), dtype=bool)
+            new_key[1:] = keys[1:] != keys[:-1]
+            first = np.flatnonzero(new_key)
+            offsets = np.append(first, len(keys)).astype(np.int32)
+            out.append((keys[first], offsets, lang[order], freq[order]))
+        return out
+
+    def lookup_all_languages(self, n: int, hashes: np.ndarray):
+        """Every (hash, language) hit of ``hashes`` in the n-gram tables, in
+        one probe of :attr:`index`.  Returns ``(pos, lang, freq)``: one entry
+        per hit, ordered by position in ``hashes`` and then by language;
+        ``freq`` is float32 as stored.  Agrees with :meth:`lookup_hashes` for
+        every language."""
+        keys, offsets, lang, freq = self.index[n - 1]
+        if len(keys) == 0 or len(hashes) == 0:
+            return (np.zeros(0, dtype=np.int64), lang[:0], freq[:0])
+        at = np.searchsorted(keys, hashes)
+        np.minimum(at, len(keys) - 1, out=at)
+        pos = np.flatnonzero(keys[at] == hashes)
+        lo = offsets[at[pos]].astype(np.int64)
+        cnt = offsets[at[pos] + 1] - lo
+        ends = np.cumsum(cnt)
+        entry = np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int64)
+        entry += np.repeat(lo - (ends - cnt), cnt)
+        return np.repeat(pos, cnt), lang[entry], freq[entry]
 
     def freq_of_str(self, lang: int, ngram: str) -> float:
         """Scalar lookup by n-gram string (for the scalar oracle / tests)."""
