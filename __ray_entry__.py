@@ -856,7 +856,7 @@ def _q_dpo_pairs(sf_dir: str):
 
 def _q_conv_lang_switches(sf_dir: str):
     """Per-conversation language consistency: every turn through the
-    REAL langid actor pool (models loaded once per actor), then (a)
+    REAL langid stage (models loaded once per worker), then (a)
     code-switch count — adjacent turns whose detected language differs —
     via the bucketed adjacency primitive, and (b) majority language via
     a per-block (conv, lang) histogram combiner.  Both reduce through
@@ -866,15 +866,13 @@ def _q_conv_lang_switches(sf_dir: str):
     not SQL-expressible; gated by the crafted-fixture pytest +
     kernel-vs-scalar conformance suite]"""
     from lingua_ray.models import ensure_models
-    from lingua_ray.stages.langid import LangIdScorer
+    from lingua_ray.stages.langid import map_langid
     from lingua_ray.stages.langstats import lang_switch_stats
 
     ensure_models()
     ds = _read_transcripts(sf_dir, ["conv_id", "turn_idx", "text"])
-    tagged = ds.map_batches(
-        LangIdScorer, batch_format="pyarrow", batch_size=2048,
-        concurrency=_langid_concurrency(_turn_rows(sf_dir)), num_cpus=1,
-        fn_constructor_kwargs={"with_ppl": False}
+    tagged = map_langid(
+        ds, _langid_concurrency(_turn_rows(sf_dir)), with_ppl=False
     ).select_columns(["conv_id", "turn_idx", "lang"])
     return lang_switch_stats(tagged, bucket_size=_TURN_BUCKET,
                              spill_input=Path(sf_dir).name)
@@ -1292,11 +1290,10 @@ def _q_conv_quality_rollup(sf_dir: str):
 
 def _langid_concurrency(n_rows: int | None = None,
                         batch_size: int = 2048) -> int:
-    """Scale the scorer actor pool with the session's CPUs (~7/8, the
-    measured optimum) instead of a hard-coded constant that starves a
-    32-CPU node (round-1 verdict) — but never spin up more actors than
-    there are batches to feed them (actor-pool startup would dominate
-    small inputs)."""
+    """How many langid batches score at once: scales with the session's
+    CPUs (~7/8, the measured optimum) instead of a hard-coded constant
+    that starves a 32-CPU node (round-1 verdict), but never more than
+    there are batches to score."""
     import ray
     cpus = int(ray.cluster_resources().get("CPU", 4))
     by_cpu = max(2, cpus * 7 // 8)
@@ -1328,13 +1325,11 @@ def _turn_rows(sf_dir: str) -> int:
 def _q_langid_documents(sf_dir: str):
     """Language-ID over the documents table.  [rows-only]"""
     from lingua_ray.models import ensure_models
-    from lingua_ray.stages.langid import LangIdScorer
+    from lingua_ray.stages.langid import map_langid
     ensure_models()
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    ds = ds.map_batches(
-        LangIdScorer, batch_format="pyarrow", batch_size=2048,
-        concurrency=_langid_concurrency(_doc_rows(sf_dir)), num_cpus=1,
-        fn_constructor_kwargs={"text_col": "text", "with_ppl": True})
+    ds = map_langid(ds, _langid_concurrency(_doc_rows(sf_dir)),
+                    text_col="text", with_ppl=True)
     return ds.select_columns(["doc_id", "lang", "lang_confidence", "ppl"])
 
 
@@ -1344,14 +1339,11 @@ def _q_langid_confidences(sf_dir: str):
     map (computeLanguageConfidenceValues) as a Ray column.  [rows-only;
     pytest gates ordering + tie-break vs the scalar oracle]"""
     from lingua_ray.models import ensure_models
-    from lingua_ray.stages.langid import LangIdScorer
+    from lingua_ray.stages.langid import map_langid
     ensure_models()
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    ds = ds.map_batches(
-        LangIdScorer, batch_format="pyarrow", batch_size=2048,
-        concurrency=_langid_concurrency(_doc_rows(sf_dir)), num_cpus=1,
-        fn_constructor_kwargs={"text_col": "text", "with_ppl": False,
-                               "top_k_confidences": 3})
+    ds = map_langid(ds, _langid_concurrency(_doc_rows(sf_dir)),
+                    text_col="text", with_ppl=False, top_k_confidences=3)
 
     def flatten(batch: pa.Table) -> pa.Table:
         # nested list<struct> flattened to scalar columns for the driver's
@@ -1494,8 +1486,8 @@ def _q_bm25_indexed(sf_dir: str):
 
 
 def _q_ccnet_ppl_buckets(sf_dir: str):
-    """CCNet head/middle/tail with the REAL perplexity: the langid actor
-    pool's fused char-trigram ppl scores every document, then the same
+    """CCNet head/middle/tail with the REAL perplexity: the langid
+    stage's fused char-trigram ppl scores every document, then the same
     partitioned ntile primitive cuts per-LANGUAGE terciles (lower ppl =
     better = head, CCNet's actual recipe — ``ccnet_buckets`` is the
     SQL-verifiable entropy twin of this query and gates the ntile
@@ -1505,14 +1497,12 @@ def _q_ccnet_ppl_buckets(sf_dir: str):
     are DuckDB-verified via ccnet_buckets + test_rank.py]"""
     from lingua_ray.functions.rank import partitioned_row_number
     from lingua_ray.models import ensure_models
-    from lingua_ray.stages.langid import LangIdScorer
+    from lingua_ray.stages.langid import map_langid
 
     ensure_models()
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    scored = ds.map_batches(
-        LangIdScorer, batch_format="pyarrow", batch_size=2048,
-        concurrency=_langid_concurrency(_doc_rows(sf_dir)), num_cpus=1,
-        fn_constructor_kwargs={"text_col": "text", "with_ppl": True})
+    scored = map_langid(ds, _langid_concurrency(_doc_rows(sf_dir)),
+                        text_col="text", with_ppl=True)
 
     def quantize(batch: pa.Table) -> pa.Table:
         p = batch.column("ppl").to_numpy()
@@ -2858,14 +2848,11 @@ def _q_semantic_dedup(sf_dir: str):
 def _q_langid_documents_lowacc(sf_dir: str):
     """Language-ID in low-accuracy (trigram-only) mode.  [rows-only]"""
     from lingua_ray.models import ensure_models
-    from lingua_ray.stages.langid import LangIdScorer
+    from lingua_ray.stages.langid import map_langid
     ensure_models()
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    ds = ds.map_batches(
-        LangIdScorer, batch_format="pyarrow", batch_size=2048,
-        concurrency=_langid_concurrency(_doc_rows(sf_dir)), num_cpus=1,
-        fn_constructor_kwargs={"text_col": "text", "with_ppl": False,
-                               "low_accuracy": True})
+    ds = map_langid(ds, _langid_concurrency(_doc_rows(sf_dir)),
+                    text_col="text", with_ppl=False, low_accuracy=True)
     return ds.select_columns(["doc_id", "lang"])
 
 

@@ -83,8 +83,8 @@ def run_headline(num_cpus: int, sf_dir: str, mode: str = "e2e") -> dict:
     n_turns = _n_turns_for_sf(sf_dir)
     tdir = ensure_transcripts(Path(f"/tmp/lingua_ray/transcripts-v3-{n_turns}"),
                               n_turns=n_turns, seed=42, n_shards=32)
-    # Actor pool ~7/8 of the session CPUs; ~4 input blocks per actor for
-    # load balance (measured optimum at this scale).
+    # Langid concurrency ~7/8 of the session CPUs; ~4 input blocks per
+    # langid slot for load balance (measured optimum at this scale).
     concurrency = max(2, num_cpus * 7 // 8)
     opts = PipelineOptions(langid_concurrency=concurrency,
                            batch_size=2048,
@@ -236,8 +236,8 @@ def main_bench() -> None:
 def main_scaling() -> None:
     """Same job at two parallelism levels in fresh processes.
 
-    Uses an 8× larger input than the default headline so fixed costs (actor
-    pool spin-up, read, sort barrier) amortize — the quantity under test is
+    Uses an 8× larger input than the default headline so fixed costs
+    (worker spin-up, read, sort barrier) amortize — the quantity under test is
     streaming throughput scaling, the sandbox stand-in for N vs 4N nodes.
 
     Each (cpus, mode) leg runs ``$RAY_GRAFT_SCALING_REPEAT`` times (default

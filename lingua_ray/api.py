@@ -4,8 +4,9 @@ switch with the same configuration vocabulary.
 
 The JVM-specific knobs map as follows (SURVEY.md §2.9):
 
-* ``with_preloaded_language_models`` — actors always preload in ``__init__``;
-  kept as a no-op for API compatibility.
+* ``with_preloaded_language_models`` — the models load once per process
+  (``models.get_models``) and each worker keeps its langid scorer across
+  batches; kept as a no-op for API compatibility.
 * ``with_executor`` — superseded by Ray (``concurrency=`` / ``num_cpus=`` on
   ``map_batches``); not exposed.
 * ``with_increased_detection_speed`` — moot (lookups are vectorized
@@ -104,7 +105,7 @@ class LanguageDetectorBuilder:
         return self
 
     def with_preloaded_language_models(self) -> "LanguageDetectorBuilder":
-        return self  # actors always preload in __init__
+        return self  # models load once per process and stay loaded
 
     def with_increased_detection_speed(self) -> "LanguageDetectorBuilder":
         return self  # lookups are already vectorized
@@ -121,7 +122,7 @@ class LanguageDetectorBuilder:
 
 class LanguageDetector:
     """Single-process convenience API over the batch kernel (the Ray path
-    uses :class:`lingua_ray.stages.langid.LangIdScorer` directly)."""
+    runs :func:`lingua_ray.stages.langid.score_langid` tasks)."""
 
     def __init__(self, detector: Detector):
         self._detector = detector

@@ -11,9 +11,9 @@ train deterministically from the reference's own accuracy-report corpus
 models are generated at build time and not present in the repo.
 
 Storage: per (language, n) a pair of flat arrays — sorted ``uint64`` keys and
-``float32`` frequencies — written as raw ``.npy`` files so actors can
+``float32`` frequencies — written as raw ``.npy`` files so workers can
 ``np.load(mmap_mode="r")`` them: one page-cache copy per node, zero-copy
-across actor processes (the Ray-native replacement for the reference's
+across worker processes (the Ray-native replacement for the reference's
 JVM-wide shared model registry, ``api/LanguageDetector.kt:754-776``).
 
 Keys are 64-bit polynomial rolling hashes of the codepoint sequence
@@ -242,10 +242,10 @@ def ensure_models(model_dir: Path = DEFAULT_MODEL_DIR,
 
 
 class NgramModels:
-    """Loaded per-actor model state: sorted key/value arrays per (lang, n).
+    """Loaded per-process model state: sorted key/value arrays per (lang, n).
 
     Loading is mmap-based — the arrays live in page cache, shared across
-    every actor process on a node.
+    every worker process on a node.
     """
 
     def __init__(self, model_dir: Path | str = DEFAULT_MODEL_DIR):
@@ -341,7 +341,7 @@ _MODELS: NgramModels | None = None
 
 
 def get_models() -> NgramModels:
-    """Process-wide lazily-built singleton (the actor-side entry point)."""
+    """Process-wide lazily-built singleton (the worker-side entry point)."""
     global _MODELS
     if _MODELS is None:
         ensure_models()

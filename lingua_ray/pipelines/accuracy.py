@@ -4,7 +4,7 @@ Reference flow (``build.gradle.kts:162-227``, per-language JUnit forks →
 per-language txt reports → aggregated CSV): corpus file → detect per line →
 confusion counts per (true, predicted, category) → accuracy percentages.
 
-Ray flow: corpus table → ``map_batches(LangIdScorer)`` →
+Ray flow: corpus table → ``map_batches(score_langid)`` →
 ``groupby(true_lang, pred_lang, category).count()`` (cardinality ≤ 79×80×3 —
 a tiny shuffle) → driver-side percentage math, mirroring
 ``AbstractLanguageDetectionAccuracyReport.kt:117-190``.
@@ -18,7 +18,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..models import CORPUS_CATEGORIES, CORPUS_DIR, ensure_models
-from ..stages.langid import LangIdScorer
+from ..stages.langid import map_langid
 
 
 def corpus_table(langs: tuple[str, ...] | None = None,
@@ -56,11 +56,8 @@ def accuracy_confusion(langs: tuple[str, ...] | None = None,
     ensure_models()
     table = corpus_table(langs, sample_per_file)
     ds = ray.data.from_arrow(table)
-    ds = ds.map_batches(
-        LangIdScorer, batch_format="pyarrow", batch_size=2048,
-        concurrency=concurrency, num_cpus=1,
-        fn_constructor_kwargs={"with_ppl": False,
-                               "low_accuracy": low_accuracy})
+    ds = map_langid(ds, concurrency, with_ppl=False,
+                    low_accuracy=low_accuracy)
     ds = ds.map_batches(
         lambda t: t.select(["true_lang", "category", "lang"])
                    .rename_columns(["true_lang", "category", "pred_lang"]),

@@ -1,7 +1,7 @@
 """The flagship transcript quality-filter pipeline, Ray-Data-first.
 
     read_parquet(turns)
-      → map_batches(LangIdScorer actor pool)      # lang, lang_confidence, ppl
+      → map_batches(score_langid)                 # lang, lang_confidence, ppl
       → map_batches(quality_batch)                # heuristic quality flags
       → map_batches(scrub_batch)                  # PII scrub + tox count
       → map_batches(keep_batch)                   # keep/drop decision
@@ -17,7 +17,7 @@ scores only turns that can still be kept::
       → map_batches(quality_batch)
       → map_batches(scrub_batch)
       → map_batches(drop_language_independent_failures)
-      → map_batches(LangIdScorer actor pool)      # fills the reserved slots
+      → map_batches(score_langid)                 # fills the reserved slots
       → map_batches(keep_batch)
       → map_batches(extra_stages...)              # see only surviving turns
       → map_batches(drop_unkept)
@@ -26,8 +26,8 @@ Every turn the early filter drops has ``quality_flags != 0`` or
 ``tox_count > 0`` and so ``keep = False``: the written rows, values and
 column order are those of the default order.  The default mode keeps langid
 first because it writes every turn: with quality and scrub first, their
-columns would ride through the actor for nothing (measured slower, with a
-higher peak RSS, on long answers).
+columns would ride through the langid stage for nothing (measured slower,
+with a higher peak RSS, on long answers).
 
 Scale notes (designed for 10^12 turns on a multi-node cluster, tested on one
 node):
@@ -40,8 +40,11 @@ node):
   is only *sorted* there — all scoring happened shuffle-free upstream, so
   skew costs O(n log n) sort time, not compute time (the salting scheme from
   SURVEY.md §4).
-* Model state is per-actor, loaded once in ``__init__`` (mmap, page-cache
-  shared per node).
+* Langid runs as stateless tasks (``concurrency`` caps how many batches score
+  at once) on the session's long-lived workers.  Each worker process that
+  runs one holds its own scorer and merged n-gram index, built on its first
+  langid batch and kept across batches, stages and waves; the artifact
+  itself is mmap'd, so its pages are shared per node.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import ray.data
 from ..stages.keep import (DEFAULT_PPL_THRESHOLD,
                            drop_language_independent_failures, drop_unkept,
                            keep_batch)
-from ..stages.langid import LangIdScorer, reserve_langid_columns
+from ..stages.langid import map_langid, reserve_langid_columns
 from ..stages.quality import quality_batch
 from ..stages.scrub import scrub_batch
 
@@ -69,7 +72,8 @@ class PipelineOptions:
     low_accuracy: bool = False
     ppl_threshold: float = DEFAULT_PPL_THRESHOLD
     batch_size: int = 2048
-    langid_concurrency: int | tuple[int, int] = 4
+    # How many langid batches score at once (one CPU each).
+    langid_concurrency: int = 4
     # None (default) derives the hash-partition count from the input size
     # (see derive_num_partitions); set explicitly to pin it — it is part of
     # the checkpoint fingerprint, so a resume must reuse the same value.
@@ -183,18 +187,9 @@ def apply_stages(ds: "ray.data.Dataset", opts: PipelineOptions | None = None
 
 def _langid_stage(ds: "ray.data.Dataset", opts: PipelineOptions
                   ) -> "ray.data.Dataset":
-    return ds.map_batches(
-        LangIdScorer,
-        batch_format="pyarrow",
-        batch_size=opts.batch_size,
-        concurrency=opts.langid_concurrency,
-        num_cpus=1,
-        fn_constructor_kwargs={
-            "text_col": opts.text_col,
-            "languages": opts.languages,
-            "low_accuracy": opts.low_accuracy,
-        },
-    )
+    return map_langid(ds, opts.langid_concurrency, opts.batch_size,
+                      text_col=opts.text_col, languages=opts.languages,
+                      low_accuracy=opts.low_accuracy)
 
 
 def _language_independent_stages(ds: "ray.data.Dataset",

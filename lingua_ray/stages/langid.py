@@ -1,15 +1,20 @@
-"""Language-ID + perplexity stage: a stateful actor-pool ``map_batches`` class.
+"""Language-ID + perplexity stage: a stateless ``map_batches`` function.
 
 The Ray-native replacement for the reference's JVM-wide shared model registry
-(``api/LanguageDetector.kt:754-776``): each actor loads the n-gram model
-artifact once in ``__init__`` (mmap → page-cache shared across actors on a
-node) and scores whole Arrow batches per ``__call__``.
+(``api/LanguageDetector.kt:754-776``): the model artifact is a process-wide
+singleton (``models.get_models``, mmap → page cache shared across the
+processes of a node), and each worker process keeps one :class:`LangIdScorer`
+per scorer config (:func:`scorer_for`).  :func:`score_langid` scores whole
+Arrow batches as short tasks on the session's long-lived workers, which keep
+their scorer and merged n-gram index across batches, stages and runs.
 
 Usage::
 
-    ds.map_batches(LangIdScorer, batch_format="pyarrow", batch_size=2048,
-                   concurrency=N, num_cpus=1,
-                   fn_constructor_kwargs={"text_col": "text"})
+    ds = map_langid(ds, concurrency=N, text_col="text")
+
+which is ``ds.map_batches(score_langid, batch_format="pyarrow",
+batch_size=2048, concurrency=N, num_cpus=1, fn_kwargs={"text_col": "text"})``:
+at most N batches score at once.
 
 Appends columns: ``lang`` (ISO 639-1, "un" for unknown), ``lang_confidence``
 (1 − second-best relative confidence, in [0,1]), ``ppl`` (char-trigram
@@ -22,6 +27,8 @@ tie-break ``internal/EnumDoubleMap.kt:97-128``).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -40,7 +47,7 @@ LANGID_COLUMNS = {"lang": pa.string(), "lang_confidence": pa.float64(),
 
 def reserve_langid_columns(batch: pa.Table) -> pa.Table:
     """Append typed all-null ``LANGID_COLUMNS`` that the batch lacks.  A
-    later LangIdScorer overwrites them in place, so its columns keep the
+    later langid stage overwrites them in place, so its columns keep the
     position they get when langid is the first stage, even when stages that
     append columns run before it."""
     for name, typ in LANGID_COLUMNS.items():
@@ -50,6 +57,10 @@ def reserve_langid_columns(batch: pa.Table) -> pa.Table:
 
 
 class LangIdScorer:
+    """Scores Arrow batches with one :class:`Detector` over the process's
+    models.  Pipelines reach it through :func:`scorer_for`, which builds one
+    per config per worker process."""
+
     def __init__(self, text_col: str = "text",
                  languages: list[str] | None = None,
                  low_accuracy: bool = False,
@@ -67,19 +78,6 @@ class LangIdScorer:
         self.text_col = text_col
         self.with_ppl = with_ppl
         self.top_k = top_k_confidences
-        # Warm the kernel once per actor at init (outside the pipeline's
-        # critical path): the first detect() in a fresh worker process
-        # faults in the kernel's working set — on virtualized hosts with
-        # slow first-touch paging that costs seconds, and it would
-        # otherwise land on the first real batch of every actor.  64
-        # mixed-script rows touch every kernel stage incl. the CJK and
-        # multi-byte decode paths.
-        warm = pa.array((["the quick brown fox jumps over the lazy dog",
-                          "szybki brązowy lis przeskakuje nad leniwym psem",
-                          "日本語のテキストを少し含めて温めます",
-                          "пример текста на русском языке"] * 16))
-        self.detector.detect(warm, with_ppl=with_ppl,
-                             with_matrix=top_k_confidences > 0)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         # the Arrow column goes straight to the kernel — codepoints are
@@ -101,6 +99,46 @@ class LangIdScorer:
                                _topk_confidences(res["conf_matrix"],
                                                  self.top_k))
         return batch
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_scorer(models, text_col, languages, low_accuracy,
+                   minimum_relative_distance, with_ppl, top_k_confidences):
+    return LangIdScorer(text_col, list(languages) if languages else None,
+                        low_accuracy, minimum_relative_distance, with_ppl,
+                        top_k_confidences)
+
+
+def scorer_for(text_col: str = "text", languages=None,
+               low_accuracy: bool = False,
+               minimum_relative_distance: float = 0.0,
+               with_ppl: bool = True,
+               top_k_confidences: int = 0) -> LangIdScorer:
+    """This process's :class:`LangIdScorer` for one config, built on first
+    use and kept for the life of the process.  ``languages`` may be any
+    sequence; an equal list and tuple share one scorer.  The key includes
+    the process's models object, so replacing it never serves a scorer
+    built over the old one."""
+    return _cached_scorer(get_models(), text_col,
+                          tuple(languages) if languages else None,
+                          low_accuracy, minimum_relative_distance, with_ppl,
+                          top_k_confidences)
+
+
+def score_langid(batch: pa.Table, **scorer_kwargs) -> pa.Table:
+    """Stateless langid stage: score ``batch`` with this process's scorer
+    for ``scorer_kwargs`` (the :class:`LangIdScorer` arguments)."""
+    return scorer_for(**scorer_kwargs)(batch)
+
+
+def map_langid(ds, concurrency: int, batch_size: int = 2048,
+               **scorer_kwargs):
+    """Attach the langid stage to a Ray Dataset as stateless tasks: at most
+    ``concurrency`` batches of ``batch_size`` rows score at once, one CPU
+    each."""
+    return ds.map_batches(score_langid, batch_format="pyarrow",
+                          batch_size=batch_size, concurrency=concurrency,
+                          num_cpus=1, fn_kwargs=scorer_kwargs)
 
 
 def _topk_confidences(conf_matrix: np.ndarray, k: int) -> pa.ListArray:

@@ -1,6 +1,6 @@
 """Per-conversation language-consistency statistics.
 
-Composes the langid actor pool with the bucketed adjacency primitive:
+Composes the langid stage with the bucketed adjacency primitive:
 (a) code-switch count — adjacent turns whose DETECTED language differs —
 and (b) majority language + distinct-language count per conversation.
 
@@ -29,12 +29,11 @@ def lang_switch_stats(tagged, bucket_size: int = 64,
 
     ``tagged`` is consumed by BOTH the adjacency branch and the
     histogram branch; when it is the output of an expensive stage (the
-    langid actor pool), pass ``spill_input`` (a name keying the input,
+    langid stage), pass ``spill_input`` (a name keying the input,
     e.g. the sf dir) so the table spills to parquet ONCE and both
     branches re-read it lazily — otherwise the upstream stage executes
-    twice, and an actor-pool stage would demand two full pools of CPUs
-    at once (observed live: 2 × 14 langid actors starving a 16-CPU
-    session into a hang)."""
+    twice (observed live when langid was an actor pool: 2 × 14 langid
+    actors starving a 16-CPU session into a hang)."""
     def _fill(batch: pa.Table) -> pa.Table:
         # null detections count as "un": lang IS NULL is reserved as the
         # switch-partial sentinel below, so a null-emitting upstream

@@ -79,7 +79,7 @@ def test_keep_only_stages_empty_and_all_null_text():
     """The keep_only stage order, run batch by batch, on a 0-row batch and
     on a batch whose text is all null (Ray Data may type such a block's
     column as null): no row survives the language-independent checks, the
-    langid actor takes the empty batch, and the columns come out in the
+    langid stage takes the empty batch, and the columns come out in the
     default order's sequence."""
     from lingua_ray.stages.keep import (drop_language_independent_failures,
                                         drop_unkept, keep_batch,

@@ -1,7 +1,8 @@
 """The n-gram scoring kernel against its previous per-language walk.
 
-Corpus-free: the module trains its own artifact with ``build_model_artifact``
-from a small seeded corpus it writes, so it runs on any host.  The oracles
+Corpus-free: the module uses the ``synthetic_model`` artifact (``conftest.py``),
+trained with ``build_model_artifact`` from a small seeded corpus, so it runs
+on any host.  The oracles
 below are the kernel's earlier ``Detector._score_group`` (one
 ``lookup_hashes`` per (language, level), backoff walked per window) and
 ``Detector._lang_trigram_stats`` (windows deduplicated with ``lexsort``),
@@ -15,11 +16,10 @@ import pytest
 
 from lingua_ray import constants as C
 from lingua_ray import reference_impl as ref
-from lingua_ray.chartables import IS_LETTER, SCRIPT_ID
+from lingua_ray.chartables import IS_LETTER
 from lingua_ray.kernel import (_CJK_BOOST_LANGS, _OOV_LOG_P, Detector,
                                DetectorConfig, _gather_rows)
-from lingua_ray.models import (MAX_N, MODEL_VERSION, NgramModels,
-                               build_model_artifact, rolling_hashes)
+from lingua_ray.models import MAX_N, MODEL_VERSION, NgramModels, rolling_hashes
 from lingua_ray.textprep import CharBatch, clean_batch
 
 
@@ -195,44 +195,6 @@ class OracleDetector(Detector):
 
 # --------------------------------------------------------------- artifacts
 
-_BMP = np.arange(0x10000)
-
-
-def _script_pool(script: str) -> np.ndarray:
-    sid = C.SCRIPT_INDEX[script]
-    return _BMP[IS_LETTER[:0x10000] & (SCRIPT_ID[:0x10000] == sid)]
-
-
-def _write_corpus(root, seed: int = 7) -> dict[int, list[str]]:
-    """Per language: a seeded alphabet from its scripts (plus its unique
-    characters), a 30-word vocabulary, and single-word, word-pair and
-    sentence files in the accuracy-corpus layout.  Returns the vocabularies."""
-    rng = np.random.default_rng(seed)
-    pools = {s: _script_pool(s) for s in C.SCRIPT_INDEX}
-    vocab = {}
-    for li, iso1 in enumerate(C.ISO1_CODES):
-        pool = np.concatenate([pools[s] for s in C.LANG_SCRIPTS[li]])
-        letters = [chr(c) for c in rng.choice(pool, size=min(12, len(pool)),
-                                             replace=False)]
-        letters += list(C.UNIQUE_CHARS[li] or "")
-        words = ["".join(rng.choice(letters, size=int(rng.integers(1, 7))))
-                 for _ in range(30)]
-        vocab[li] = words
-        lines = {
-            "single-words": words,
-            "word-pairs": [" ".join(rng.choice(words, size=2))
-                           for _ in range(20)],
-            "sentences": [" ".join(rng.choice(words,
-                                              size=int(rng.integers(3, 9))))
-                          for _ in range(20)],
-        }
-        for cat, rows in lines.items():
-            (root / cat).mkdir(parents=True, exist_ok=True)
-            (root / cat / f"{iso1}.txt").write_text(
-                "\n".join(rows) + "\n", encoding="utf-8")
-    return vocab
-
-
 def _write_artifact(model_dir, tables) -> NgramModels:
     """An artifact holding ``tables[(lang, n)] = (keys, vals)``; every other
     table is empty."""
@@ -251,11 +213,9 @@ def _write_artifact(model_dir, tables) -> NgramModels:
 
 
 @pytest.fixture(scope="module")
-def trained(tmp_path_factory):
-    root = tmp_path_factory.mktemp("synthetic")
-    vocab = _write_corpus(root / "corpus")
-    build_model_artifact(root / "model", root / "corpus")
-    return NgramModels(root / "model"), vocab
+def trained(synthetic_model):
+    model_dir, vocab = synthetic_model
+    return NgramModels(model_dir), vocab
 
 
 def _adversarial_texts(vocab) -> list[str]:

@@ -37,7 +37,7 @@ def test_conv_lang_switches_detects_real_languages(ray_session, tmp_path):
     """Through the REAL langid kernel: unambiguous monolingual turns."""
     import ray.data
 
-    from lingua_ray.stages.langid import LangIdScorer
+    from lingua_ray.stages.langid import map_langid
     from lingua_ray.stages.langstats import lang_switch_stats
 
     turns = [
@@ -49,9 +49,7 @@ def test_conv_lang_switches_detects_real_languages(ray_session, tmp_path):
     ]
     ds = ray.data.from_items(
         [{"conv_id": c, "turn_idx": i, "text": t} for c, i, t in turns])
-    tagged = ds.map_batches(LangIdScorer, batch_format="pyarrow",
-                            concurrency=1, num_cpus=1,
-                            fn_constructor_kwargs={"with_ppl": False}) \
+    tagged = map_langid(ds, 1, with_ppl=False) \
         .select_columns(["conv_id", "turn_idx", "lang"])
     out = lang_switch_stats(tagged).to_pandas() \
         .sort_values("conv_id", ignore_index=True)

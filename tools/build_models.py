@@ -3,7 +3,7 @@
 The Ray analogue of the reference's ``createLanguageModels`` Gradle task
 (``GenerateLanguageModelsTask.kt``): trains unigram..fivegram conditional
 frequencies per language from the reference's accuracy-report corpus and
-writes flat sorted-array ``.npy`` files for mmap loading by actors.
+writes flat sorted-array ``.npy`` files for mmap loading by workers.
 
 Usage: python tools/build_models.py [--force]
 """

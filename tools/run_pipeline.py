@@ -29,7 +29,7 @@ def main() -> None:
     ap.add_argument("--keep-only", action="store_true",
                     help="drop rows with keep=false in the output")
     ap.add_argument("--concurrency", type=int, default=8,
-                    help="langid actor pool size")
+                    help="langid batches scored at once")
     ap.add_argument("--wave-size", type=int, default=8,
                     help="shards per checkpoint wave")
     ap.add_argument("--partitions", type=int, default=64,
