@@ -46,11 +46,12 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
 
 def _transcripts_for_sf(sf_dir: str) -> Path:
     """Deterministic transcript table sized to the scale factor (12 turns per
-    documents row), cached under /tmp."""
-    from lingua_ray.sources.transcripts import ensure_transcripts
+    documents row), cached under /tmp in a directory named after the text
+    pool it was drawn from."""
+    from lingua_ray.sources.transcripts import ensure_transcripts, pool_name
     n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
     n_turns = max(2000, n_docs * 12)
-    out = Path(f"/tmp/lingua_ray/transcripts-v3-{n_turns}")
+    out = Path(f"/tmp/lingua_ray/transcripts-v3-{pool_name()}-{n_turns}")
     return ensure_transcripts(out, n_turns=n_turns, seed=42)
 
 

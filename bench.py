@@ -77,12 +77,13 @@ def run_headline(num_cpus: int, sf_dir: str, mode: str = "e2e") -> dict:
     from lingua_ray.pipelines.quality_filter import (PipelineOptions,
                                                      apply_stages,
                                                      write_ordered)
-    from lingua_ray.sources.transcripts import ensure_transcripts
+    from lingua_ray.sources.transcripts import ensure_transcripts, pool_name
 
     ensure_models()
     n_turns = _n_turns_for_sf(sf_dir)
-    tdir = ensure_transcripts(Path(f"/tmp/lingua_ray/transcripts-v3-{n_turns}"),
-                              n_turns=n_turns, seed=42, n_shards=32)
+    tdir = ensure_transcripts(
+        Path(f"/tmp/lingua_ray/transcripts-v3-{pool_name()}-{n_turns}"),
+        n_turns=n_turns, seed=42, n_shards=32)
     # Langid concurrency ~7/8 of the session CPUs; ~4 input blocks per
     # langid slot for load balance (measured optimum at this scale).
     concurrency = max(2, num_cpus * 7 // 8)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 from functools import cached_property
 from pathlib import Path
@@ -159,8 +160,40 @@ def read_corpus_language(iso1: str, corpus_dir: Path = CORPUS_DIR) -> list[str]:
     return texts
 
 
+def corpus_has_text(corpus_dir: Path | None = None) -> bool:
+    """Whether any language has training text in the corpus (default
+    :data:`CORPUS_DIR`, read at call time)."""
+    corpus_dir = CORPUS_DIR if corpus_dir is None else corpus_dir
+    return any(read_corpus_language(iso1, corpus_dir)
+               for iso1 in C.ISO1_CODES)
+
+
+def _has_keys(model_dir: Path) -> bool:
+    """Whether any n-gram table of the artifact holds a key, read from the
+    ``.npy`` headers alone (no array is loaded or mapped)."""
+    for path in model_dir.glob("*_keys.npy"):
+        with open(path, "rb") as f:
+            major, _ = np.lib.format.read_magic(f)
+            read = (np.lib.format.read_array_header_1_0 if major == 1
+                    else np.lib.format.read_array_header_2_0)
+            if read(f)[0][0]:
+                return True
+    return False
+
+
+def _needs_build(model_dir: Path) -> bool:
+    """No finished artifact, or one trained without text (no keys) while
+    the corpus now has text."""
+    if not (model_dir / "_SUCCESS").exists():
+        return True
+    return corpus_has_text() and not _has_keys(model_dir)
+
+
 def build_model_artifact(model_dir: Path = DEFAULT_MODEL_DIR,
-                         corpus_dir: Path = CORPUS_DIR) -> None:
+                         corpus_dir: Path | None = None) -> None:
+    """Train every language from ``corpus_dir`` (default
+    :data:`CORPUS_DIR`, read at call time) into ``model_dir``."""
+    corpus_dir = CORPUS_DIR if corpus_dir is None else corpus_dir
     tmp = model_dir.parent / f"{model_dir.name}.building.{os.getpid()}"
     tmp.mkdir(parents=True, exist_ok=True)
     for iso1 in C.ISO1_CODES:
@@ -183,15 +216,18 @@ def build_model_artifact(model_dir: Path = DEFAULT_MODEL_DIR,
         os.replace(tmp, model_dir)
     except OSError:
         # Another process won the race; keep theirs.
-        import shutil
         shutil.rmtree(tmp, ignore_errors=True)
 
 
 def ensure_models(model_dir: Path = DEFAULT_MODEL_DIR,
                   timeout_s: float = 900.0) -> Path:
-    """Build the model artifact if missing (deterministic, race-safe)."""
-    success = model_dir / "_SUCCESS"
-    if success.exists():
+    """Build the model artifact if missing (deterministic, race-safe).
+
+    An artifact with no keys (built while the corpus had no text) is
+    rebuilt once the corpus has text: it is moved aside under the lock
+    first, since the build's final rename cannot replace a non-empty
+    directory."""
+    if not _needs_build(model_dir):
         return model_dir
     lock = model_dir.parent / f"v{MODEL_VERSION}.lock"
     model_dir.parent.mkdir(parents=True, exist_ok=True)
@@ -203,7 +239,12 @@ def ensure_models(model_dir: Path = DEFAULT_MODEL_DIR,
         holder = False
     if holder:
         try:
-            if not success.exists():
+            if _needs_build(model_dir):
+                if model_dir.exists():
+                    stale = model_dir.parent / (
+                        f"{model_dir.name}.stale.{os.getpid()}")
+                    os.replace(model_dir, stale)
+                    shutil.rmtree(stale)
                 build_model_artifact(model_dir)
         finally:
             try:
@@ -213,7 +254,7 @@ def ensure_models(model_dir: Path = DEFAULT_MODEL_DIR,
         return model_dir
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
-        if success.exists():
+        if not _needs_build(model_dir):
             return model_dir
         remaining = max(1.0, deadline - time.monotonic())
         try:

@@ -5,9 +5,13 @@ Schema (BASELINE.json ``input_hint``)::
     conv_id: string, turn_idx: int32, role: string,
     text: large_string, tool: string, ts: timestamp[us]
 
-Turn text is drawn from the reference's language-labeled accuracy corpus,
-with injected PII, empty/punctuation-only/emoji turns, >120-char
-concatenations (long-text trigram path), and mixed-script lines.
+Turn text is drawn from the reference's language-labeled accuracy corpus
+(``models.CORPUS_DIR``).  Where that corpus holds no text, it comes from a
+seeded pool of 2,400 distinct lines built from the per-language word lists
+in :mod:`.wordlists` (:func:`pool_name` says which pool a host uses; cache
+paths carry it).  Either way the table has injected PII,
+empty/punctuation-only/emoji turns, >120-char concatenations (long-text
+trigram path), and mixed-script lines.
 Conversation sizes are zipf-distributed with one mega-conversation holding
 >5% of all turns (skew-salting exercise).  Rows are shuffled on disk so
 stable (conv_id, turn_idx) order restoration is actually tested.  Output is
@@ -24,6 +28,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..models import CORPUS_DIR
+from .wordlists import WORDS
 
 _POOL_LANGS = ("en", "de", "fr", "es", "it", "pt", "ru", "zh", "ja", "ar",
                "nl", "sv")
@@ -42,11 +47,15 @@ _MIXED = (
     "hello 世界 this is mixed",
     "bonjour مرحبا hello",
 )
+# Word-list pool: fixed seed, and per language (words per line, lines);
+# 0 words means a 4-14-word sentence.  12 languages x 200 = 2,400 lines.
+_WORD_POOL_SEED = 20_240_917
+_WORD_POOL_SHAPE = ((1, 20), (2, 40), (0, 140))
 _ROLES = ("user", "assistant", "tool", "system")
 _TOOLS = ("", "", "", "search", "calculator", "browser")
 
 
-def _load_pool() -> tuple[list[str], list[str]]:
+def _corpus_pool() -> tuple[list[str], list[str]]:
     texts, langs = [], []
     for iso1 in _POOL_LANGS:
         for cat in ("single-words", "word-pairs", "sentences"):
@@ -58,6 +67,41 @@ def _load_pool() -> tuple[list[str], list[str]]:
                     texts.append(line)
                     langs.append(iso1)
     return texts, langs
+
+
+def _word_pool() -> tuple[list[str], list[str]]:
+    """The corpus-free pool: per language, seeded single words, word pairs
+    and 4-14-word sentences from :data:`.wordlists.WORDS`, in the corpus
+    pool's (language, category) order.  No line repeats, also across
+    languages: unrelated conversations must not come out identical."""
+    rng = np.random.RandomState(_WORD_POOL_SEED)
+    pool: dict[str, str] = {}  # line -> language, in insertion order
+    for iso1 in _POOL_LANGS:
+        words = np.array(WORDS[iso1], dtype=object)
+        sep, stop = ("", "。") if iso1 in ("zh", "ja") else (" ", ".")
+        for size, n_lines in _WORD_POOL_SHAPE:
+            target = len(pool) + n_lines
+            while len(pool) < target:
+                line = sep.join(rng.choice(words, size=size or
+                                           rng.randint(4, 15)))
+                if not size:
+                    line = line[0].upper() + line[1:] + stop
+                pool.setdefault(line, iso1)
+    return list(pool), list(pool.values())
+
+
+def _load_pool() -> tuple[list[str], list[str]]:
+    """(texts, languages) every turn's text is drawn from: the accuracy
+    corpus's lines, or the word-list pool where the corpus has no text."""
+    texts, langs = _corpus_pool()
+    return (texts, langs) if texts else _word_pool()
+
+
+def pool_name() -> str:
+    """``"corpus"`` or ``"words"``: which pool :func:`generate_transcripts`
+    draws from on this host.  Cache directories of generated tables carry
+    it, so tables from one pool are never reused for the other."""
+    return "corpus" if _corpus_pool()[0] else "words"
 
 
 def generate_transcripts(n_turns: int, n_convs: int,

@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
 
+from lingua_ray import models as M
+
+# Tests that score real languages need models trained from the accuracy
+# corpus; they run wherever it is installed.
+needs_corpus = pytest.mark.skipif(
+    not M.corpus_has_text(),
+    reason=f"needs the accuracy corpus at {M.CORPUS_DIR}")
+
 
 @pytest.fixture(scope="session")
 def ray_session():

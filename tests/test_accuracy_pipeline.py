@@ -3,16 +3,19 @@ counts, percentage tables, and report writer."""
 
 import pandas as pd
 
+from conftest import needs_corpus
 from lingua_ray.pipelines.accuracy import (accuracy_confusion, accuracy_table,
                                            corpus_table, write_report)
 
 
+@needs_corpus
 def test_corpus_table_shape():
     t = corpus_table(langs=("en", "de"), sample_per_file=10)
     assert t.num_rows == 2 * 3 * 10
     assert t.schema.names == ["true_lang", "category", "line_no", "text"]
 
 
+@needs_corpus
 def test_confusion_and_report(ray_session, tmp_path):
     conf = accuracy_confusion(langs=("en", "de", "el"), sample_per_file=50,
                               concurrency=2).to_pandas()
@@ -52,6 +55,7 @@ def test_pipeline_extra_stage_plugin(ray_session, tmp_path):
     assert "text_upper" in res.schema.names
 
 
+@needs_corpus
 def test_dual_mode_summary_and_language_reports(ray_session, tmp_path):
     from lingua_ray.pipelines.accuracy import (accuracy_confusion_dual,
                                                accuracy_summary,

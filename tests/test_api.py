@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import needs_corpus
 from lingua_ray import constants as C
 from lingua_ray.api import LanguageDetectorBuilder
 
@@ -44,6 +45,7 @@ def test_detector_subset_unknown_when_no_probabilities():
     assert det.compute_language_confidence_values("проарплап") == []
 
 
+@needs_corpus
 def test_confidence_values_sorted():
     det = LanguageDetectorBuilder.from_all_languages().build()
     values = det.compute_language_confidence_values("this is a short test")

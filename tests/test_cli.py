@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import needs_corpus
+
 CLI = str(Path(__file__).resolve().parent.parent / "tools" / "detect_cli.py")
 
 
@@ -13,12 +15,14 @@ def _run(args, stdin=""):
                           capture_output=True, text=True, timeout=300)
 
 
+@needs_corpus
 def test_cli_basic_detection():
     r = _run([], "bonjour le monde\n日本語のテキスト\nÀ×\n\n")
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines() == ["fr", "ja", "yo"]   # blank line skipped
 
 
+@needs_corpus
 def test_cli_language_subset_and_low_accuracy():
     r = _run(["--languages", "en,de", "--low-accuracy"],
              "Ich wohne in Berlin\nthe quick brown fox\n")
@@ -26,6 +30,7 @@ def test_cli_language_subset_and_low_accuracy():
     assert r.stdout.splitlines() == ["de", "en"]
 
 
+@needs_corpus
 def test_cli_confidence_output():
     r = _run(["--confidence", "--languages", "en,de,fr"],
              "bonjour tout le monde\n")
@@ -52,6 +57,7 @@ def test_cli_errors_cleanly():
     assert "Traceback" not in r.stderr
 
 
+@needs_corpus
 def test_cli_multi_language_sections():
     r = _run(["--multi"],
              "this is english text 日本語のテキストです and back\n"

@@ -10,6 +10,7 @@
 import numpy as np
 import pytest
 
+from conftest import needs_corpus
 from lingua_ray import constants as C
 from lingua_ray import models as M
 from lingua_ray import reference_impl as ref
@@ -33,6 +34,7 @@ def _f1_binary(pred_pos, true_pos):
     return 2 * p * r / (p + r)
 
 
+@needs_corpus
 def test_f1_vs_oracle_labels(detector):
     """Kernel labels vs scalar-oracle labels on a cross-language sample."""
     rng = np.random.RandomState(7)
@@ -54,6 +56,7 @@ def test_f1_vs_oracle_labels(detector):
             assert f1 >= 0.99, (iso, f1)
 
 
+@needs_corpus
 def test_accuracy_expectations_per_language(detector):
     """Sentence-category accuracy per language, mirroring the reference's
     accuracy-report expectations (corpus == the reference's own corpus)."""

@@ -4,6 +4,7 @@ transcription of the reference algorithm, over a diverse corpus sample."""
 import numpy as np
 import pytest
 
+from conftest import needs_corpus
 from lingua_ray import constants as C
 from lingua_ray import models as M
 from lingua_ray import reference_impl as ref
@@ -61,6 +62,7 @@ def scalar_labels(texts, models, low_accuracy=False, languages=None):
     return np.array(out, dtype=np.int16)
 
 
+@needs_corpus
 def test_kernel_matches_scalar_high_accuracy(models, detector):
     texts = sample_texts()
     got = detector.detect(texts)["lang"]
@@ -74,6 +76,7 @@ def test_kernel_matches_scalar_high_accuracy(models, detector):
     assert len(mism) == 0, detail
 
 
+@needs_corpus
 def test_kernel_matches_scalar_low_accuracy(models):
     texts = sample_texts()
     det = Detector(models, DetectorConfig(low_accuracy=True))
@@ -83,6 +86,7 @@ def test_kernel_matches_scalar_low_accuracy(models):
     assert len(mism) == 0, [(texts[i][:40], got[i], want[i]) for i in mism[:10]]
 
 
+@needs_corpus
 def test_kernel_matches_scalar_language_subset(models):
     texts = sample_texts()
     cfg = DetectorConfig.from_iso1(["en", "de"])
@@ -100,6 +104,7 @@ def test_no_letter_rows_unknown(detector):
     assert (res["n_values"] == 0).all()
 
 
+@needs_corpus
 def test_determinism(detector):
     texts = sample_texts()
     a = detector.detect(texts)

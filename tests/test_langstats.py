@@ -5,6 +5,8 @@ langid-composition query's end-to-end smoke."""
 import pyarrow as pa
 import pytest
 
+from conftest import needs_corpus
+
 
 def test_lang_switch_stats_exact(ray_session):
     import ray.data
@@ -33,6 +35,7 @@ def test_lang_switch_stats_exact(ray_session):
     assert out["n_langs"].tolist() == [2, 1, 2]
 
 
+@needs_corpus
 def test_conv_lang_switches_detects_real_languages(ray_session, tmp_path):
     """Through the REAL langid kernel: unambiguous monolingual turns."""
     import ray.data

@@ -1,16 +1,22 @@
 """ensure_models lock lifecycle: orphaned locks are reclaimed, live
-locks still block, and the waiter honors the original deadline."""
+locks still block, and the waiter honors the original deadline; an
+artifact built without corpus text is rebuilt once the corpus has text."""
 
 import os
 import time
 
+import numpy as np
 import pytest
 
+from conftest import _write_corpus
 from lingua_ray import models as M
 
 
 def _fake_build(d):
+    """A finished artifact: ``_SUCCESS`` and one table with a key (a keyless
+    one is rebuilt wherever the corpus has text)."""
     d.mkdir(parents=True, exist_ok=True)
+    np.save(d / "af_1_keys.npy", np.array([1], dtype=np.uint64))
     (d / "_SUCCESS").write_text("")
 
 
@@ -69,3 +75,35 @@ def test_ensure_models_lock_released_mid_wait(tmp_path, monkeypatch):
     mdir = tmp_path / f"v{M.MODEL_VERSION}"
     _fake_build(mdir)
     assert M.ensure_models(mdir, timeout_s=5.0) == mdir
+
+
+def test_ensure_models_rebuilds_keyless_artifact_once_corpus_has_text(
+        tmp_path, monkeypatch):
+    """An artifact trained while the corpus was empty holds no keys; it is
+    kept while the corpus stays empty, and replaced (not served) once the
+    corpus has text."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    monkeypatch.setattr(M, "CORPUS_DIR", corpus)
+    builds = []
+    build = M.build_model_artifact
+    monkeypatch.setattr(M, "build_model_artifact",
+                        lambda d: (builds.append(d), build(d)))
+    mdir = tmp_path / "models" / f"v{M.MODEL_VERSION}"
+
+    def n_keys():
+        m = M.NgramModels(mdir)
+        return sum(len(k) for ks in m.keys for k in ks)
+
+    assert M.ensure_models(mdir) == mdir
+    assert n_keys() == 0
+    M.ensure_models(mdir)
+    assert len(builds) == 1
+
+    _write_corpus(corpus)
+    assert M.ensure_models(mdir) == mdir
+    assert len(builds) == 2
+    assert n_keys() > 0
+    assert [p.name for p in mdir.parent.iterdir()] == [mdir.name]
+    M.ensure_models(mdir)
+    assert len(builds) == 2

@@ -4,6 +4,7 @@ confidence strings)."""
 
 import pytest
 
+from conftest import needs_corpus
 from lingua_ray import constants as C
 from lingua_ray import models as M
 from lingua_ray.kernel import Detector
@@ -46,6 +47,7 @@ def test_split_min_letters():
     assert len(secs) == 1
 
 
+@needs_corpus
 def test_detect_two_languages(ml):
     text = ("this is a longer english sentence about the weather today. "
             "Привет как дела сегодня в москве очень холодно")
@@ -63,6 +65,7 @@ def test_detect_two_languages(ml):
     assert ru and "Привет" in ru[0].section_text
 
 
+@needs_corpus
 def test_detect_cjk_and_latin(ml):
     text = "上海大学是一个很好的大学 this is clearly an english sentence here"
     sections = ml.detect(text)
@@ -73,6 +76,7 @@ def test_detect_cjk_and_latin(ml):
     assert "en" in langs
 
 
+@needs_corpus
 def test_single_language_single_section(ml):
     sections = ml.detect("this is just one english sentence with many words")
     assert len(sections) == 1

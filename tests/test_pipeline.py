@@ -5,6 +5,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from conftest import needs_corpus
 from lingua_ray import models as M
 from lingua_ray.kernel import Detector
 from lingua_ray.pipelines.quality_filter import (
@@ -112,6 +113,7 @@ def test_generator_has_mega_conversation():
     assert counts.most_common(1)[0][1] >= 0.05 * 2000
 
 
+@needs_corpus
 def test_pipeline_junk_input_never_crashes(ray_session):
     """Nulls, empty strings, emoji, pure punctuation through the FULL
     pipeline: junk rows get lang='un' / keep=False, never an exception."""
@@ -141,6 +143,7 @@ def test_pipeline_junk_input_never_crashes(ray_session):
     assert by_turn[8]["lang"] == "ja"
 
 
+@needs_corpus
 def test_oov_text_gets_worst_perplexity():
     """Trigrams absent at every backoff level charge the OOV floor: text
     the winning language's model has never seen must score WORSE (higher
