@@ -4922,8 +4922,8 @@ def _q_length_stratified_split(sf_dir: str):
     """Deterministic 80/10/10 train/val/test split on md5(doc_id) with
     per-(lang, split) counts — the reproducible-split report (hash
     split, not random: stable across runs, partitionings and cluster
-    sizes; same md5-threshold primitive as corpus_mix).
-    [SQL-verified]"""
+    sizes; same md5-threshold primitive as corpus_mix).  A NULL lang is
+    its own group, as in SQL's GROUP BY.  [SQL-verified]"""
     from lingua_ray.stages.sampling import _md5_threshold
     from lingua_ray.stages.util import md5_hex_ranks
     t80, t90 = _md5_threshold(0.8), _md5_threshold(0.9)
@@ -4936,15 +4936,11 @@ def _q_length_stratified_split(sf_dir: str):
         d = md5_hex_ranks(batch.column("doc_id").to_pylist())
         split = np.where([x < t80 for x in d], "train",
                          np.where([x < t90 for x in d], "val", "test"))
-        lang = np.asarray(batch.column("lang")
-                          .to_numpy(zero_copy_only=False))
-        key = np.char.add(np.char.add(lang.astype(str), "\x00"),
-                          split.astype(str))
-        uk, idx, cnt = np.unique(key, return_index=True,
-                                 return_counts=True)
-        return pa.table({"lang": pa.array(lang[idx]),
-                         "split": pa.array(split[idx]),
-                         "n_docs": pa.array(cnt.astype(np.int64))})
+        keys = pa.table({"lang": batch.column("lang"),
+                         "split": pa.array(split)})
+        return (keys.group_by(["lang", "split"], use_threads=False)
+                .aggregate([([], "count_all")])
+                .rename_columns(["lang", "split", "n_docs"]))
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang"])
     out = (ds.map_batches(partial, batch_format="pyarrow")
@@ -5151,8 +5147,10 @@ def _q_source_lang_entropy(sf_dir: str):
     """Language-mix entropy per source (nats) — the diversity panel of a
     data card: -Σ p·ln p over each source's language distribution.  One
     (source, lang, n) combiner + tiny groupby; the |sources|×|langs|
-    table assembles on the driver.  [SQL-verified — same -Σ p·ln p
-    shape as the hash-green doc_entropy oracle]"""
+    table assembles on the driver.  A NULL lang is its own group within
+    its source; a NULL source has no row, as the oracle's equi-join on
+    source drops it.  [SQL-verified — same -Σ p·ln p shape as the
+    hash-green doc_entropy oracle]"""
     from lingua_ray.stages.util import round_half_away
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -5160,21 +5158,15 @@ def _q_source_lang_entropy(sf_dir: str):
             return pa.table({"source": pa.array([], pa.string()),
                              "lang": pa.array([], pa.string()),
                              "n": pa.array([], pa.int64())})
-        src = np.asarray(batch.column("source")
-                         .to_numpy(zero_copy_only=False))
-        lang = np.asarray(batch.column("lang")
-                          .to_numpy(zero_copy_only=False))
-        key = np.char.add(np.char.add(src.astype(str), "\x00"),
-                          lang.astype(str))
-        uk, idx, cnt = np.unique(key, return_index=True,
-                                 return_counts=True)
-        return pa.table({"source": pa.array(src[idx]),
-                         "lang": pa.array(lang[idx]),
-                         "n": pa.array(cnt.astype(np.int64))})
+        return (batch.select(["source", "lang"])
+                .group_by(["source", "lang"], use_threads=False)
+                .aggregate([([], "count_all")])
+                .rename_columns(["source", "lang", "n"]))
 
     ds = _read(sf_dir, "documents", columns=["source", "lang"])
-    rows = (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(["source", "lang"]).sum("n").take_all())
+    rows = [r for r in (ds.map_batches(partial, batch_format="pyarrow")
+                        .groupby(["source", "lang"]).sum("n").take_all())
+            if r["source"] is not None]
     src = np.array([r["source"] for r in rows])
     n = np.array([r["sum(n)"] for r in rows], np.float64)
     us, codes = np.unique(src, return_inverse=True)

@@ -1,19 +1,24 @@
 """The vectorized language-detection kernel.
 
-One call processes a whole Arrow batch of texts with NumPy array ops only —
-the reference's per-string, per-(language, n) fan-out
+One call decodes a whole Arrow batch of texts once (cleanup and word
+segmentation share the codepoints) and then uses NumPy array ops only — the
+reference's per-string, per-(language, n) fan-out
 (``api/LanguageDetector.kt:223-295``) collapses into array axes:
 
-* rule voting (``detectLanguageWithRules``, ``:376-473``) becomes bincount
-  reductions over (word, language) vote pairs;
+* rule voting (``detectLanguageWithRules``, ``:376-473``) counts the
+  sparse (word, vote column) pairs with one ``np.unique`` and takes each
+  word's top two counts by segment reductions over them, then sums per row;
 * candidate filtering (``filterLanguagesByRules``, ``:475-543``) becomes
-  segment reductions + a (rows × scripts) @ (scripts × languages) mask matmul;
+  segment reductions + a (rows × scripts) @ (scripts × languages) mask
+  matmul, and the accent-char counts OR each word's per-codepoint language
+  bits before summing them per row;
 * n-gram scoring with prefix backoff (``:593-659``) probes each order's
   distinct rolling hashes once against all languages' tables merged
   (:meth:`~lingua_ray.models.NgramModels.lookup_all_languages`), resolves
   the n → n−1 backoff per language on those distinct sets through a parent
   map, and then costs one gather and one (row, level) ``bincount`` per
-  deduplicated window and candidate language.
+  deduplicated window and candidate language.  The trigram-only path takes
+  its backoff orders 2 and 1 from the prefixes of the distinct trigrams.
 
 Semantics are validated row-for-row against the scalar transcription in
 :mod:`lingua_ray.reference_impl` by ``tests/test_kernel_vs_scalar.py``, and
@@ -30,7 +35,7 @@ import numpy as np
 from . import constants as C
 from .chartables import CHARLANG_MASK, IS_LETTER, MASK_TABLE_SIZE, SCRIPT_ID, UNIQUE_CHAR_MASK
 from .models import NgramModels, rolling_hashes, valid_window_starts
-from .textprep import CharBatch, build_word_batch, clean_batch
+from .textprep import CharBatch, build_word_batch, clean_batch, encode_texts
 
 _HAN = C.SCRIPT_INDEX["HAN"]
 _KANA = (C.SCRIPT_INDEX["HIRAGANA"], C.SCRIPT_INDEX["KATAKANA"])
@@ -48,10 +53,45 @@ _OOV_LOG_P = float(np.log(1e-9))
 _CJK_BOOST_LANGS = np.array(
     [C.LANG_INDEX[n] for n in C.LANGUAGES_SUPPORTING_LOGOGRAMS], dtype=np.int64)
 
-# Languages that appear in CHARS_TO_LANGUAGES values, ordinal order.
-_ACCENT_LANGS: tuple[int, ...] = tuple(sorted({
+
+def _lang_bits(mask: np.ndarray, langs: np.ndarray) -> np.ndarray:
+    """Per codepoint, bit j set where its 128-bit language ``mask`` holds
+    ``langs[j]`` (≤ 64 languages); a last entry, 0, stands for every
+    codepoint ≥ ``MASK_TABLE_SIZE`` (index ``np.minimum(cp, MASK_TABLE_SIZE)``)."""
+    out = np.zeros(MASK_TABLE_SIZE + 1, dtype=np.uint64)
+    for j, li in enumerate(langs):
+        out[:-1] |= (mask[:, li >> 6] >> np.uint64(li & 63)
+                     & np.uint64(1)) << np.uint64(j)
+    return out
+
+
+def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
+    """(len(bits), n) uint8 0/1: column j is bit j of each uint64."""
+    return np.unpackbits(bits.astype("<u8").view(np.uint8).reshape(-1, 8),
+                         axis=1, count=n, bitorder="little")
+
+
+# Languages that appear in CHARS_TO_LANGUAGES values, ordinal order, and
+# which of them each codepoint is an accent char of.
+_ACCENT_LANGS = np.array(sorted({
     C.LANG_INDEX[n] for names in C.CHARS_TO_LANGUAGES.values() for n in names
-}))
+}), dtype=np.int64)
+_ACCENT_MASK = _lang_bits(CHARLANG_MASK, _ACCENT_LANGS)
+
+
+def _top_two(key: np.ndarray, cnt: np.ndarray, ncol: int):
+    """Per word of the sorted distinct keys ``word * ncol + column`` and their
+    counts: (word, columns voted, top count, its column, second count, 0 for
+    one column).  Ties go to the lowest column, as with a dense argmax."""
+    word, col = key // ncol, key % ncol
+    seg = np.flatnonzero(np.diff(word, prepend=-1))
+    nz = np.diff(np.append(seg, len(key)))
+    c1 = np.maximum.reduceat(cnt, seg)
+    top = np.minimum.reduceat(np.where(
+        cnt == np.repeat(c1, nz), np.arange(len(key)), len(key)), seg)
+    rest = cnt.copy()
+    rest[top] = 0
+    return word[seg], nz, c1, col[top], np.maximum.reduceat(rest, seg)
 
 
 def _gather_rows(cleaned: CharBatch, rows: np.ndarray) -> CharBatch:
@@ -123,6 +163,12 @@ class Detector:
         self._vote_langs = np.array(vote_langs, dtype=np.int64)
         self._lang_to_col = np.full(C.NUM_LANGUAGES, -1, dtype=np.int64)
         self._lang_to_col[self._vote_langs] = np.arange(len(vote_langs))
+        # Unique-char votes: Latin/Cyrillic/Devanagari chars whose script
+        # casts no vote of its own, one vote per unique-char language.
+        sid = SCRIPT_ID[:MASK_TABLE_SIZE]
+        self._uniq_mask = _lang_bits(UNIQUE_CHAR_MASK, self._uniq_langs)
+        self._uniq_mask[:-1][~np.isin(sid, _LATIN_CYR_DEV) | (vote[sid] >= 0)] = 0
+        self._uniq_col = self._lang_to_col[self._uniq_langs]
 
         # (languages × scripts) membership for candidate filtering.
         S = np.zeros((C.NUM_LANGUAGES, C.NUM_SCRIPTS), dtype=bool)
@@ -131,20 +177,18 @@ class Detector:
                 S[li, C.SCRIPT_INDEX[s]] = True
         self._lang_scripts = S
 
-        self._accent_langs = np.array(
-            [li for li in _ACCENT_LANGS], dtype=np.int64)
-
     # ------------------------------------------------------------------ rules
 
-    def _rule_stage(self, texts: list[str]):
+    def _rule_stage(self, texts: list[str], encoded=None):
         """Vectorized detectLanguageWithRules + filterLanguagesByRules.
 
+        ``encoded`` is the batch's ``encode_texts`` output, if already made.
         Returns (rule_lang int16[n] with -1 = undecided,
                  cand bool[n, NUM_LANGUAGES] candidate sets).
         """
         cfg = self.config
         n_rows = len(texts)
-        wb = build_word_batch(texts)
+        wb = build_word_batch(texts, encoded)
         n_words = len(wb.word_row)
         ncol = len(self._vote_langs)
 
@@ -153,55 +197,31 @@ class Detector:
         if n_words == 0:
             return rule_lang, cand
 
-        sid = SCRIPT_ID[wb.cps]
         in_word = wb.char_word >= 0
         cw = wb.char_word[in_word]
-        sid_w = sid[in_word].astype(np.int64)
         cps_w = wb.cps[in_word]
+        sid_w = SCRIPT_ID[cps_w]
+        small_w = np.minimum(cps_w, MASK_TABLE_SIZE)
 
-        # --- per-word language vote counts ---------------------------------
-        sv = self._script_vote[np.minimum(sid_w, C.NUM_SCRIPTS)]
+        # --- per-word language vote counts, as sparse (word, column) pairs
+        sv = self._script_vote[sid_w]
         has_sv = sv >= 0
-        vote_word = [cw[has_sv]]
-        vote_col = [self._lang_to_col[sv[has_sv]]]
-        # unique-char votes for Latin/Cyrillic/Devanagari chars
-        lcd = np.isin(sid_w, _LATIN_CYR_DEV) & ~has_sv
-        if lcd.any():
-            cps_l = cps_w[lcd]
-            cw_l = cw[lcd]
-            small = cps_l < MASK_TABLE_SIZE
-            cps_l, cw_l = cps_l[small], cw_l[small]
-            um = UNIQUE_CHAR_MASK[cps_l]  # (m, 2) uint64
-            any_bit = (um[:, 0] | um[:, 1]) != 0
-            cps_l, cw_l, um = cps_l[any_bit], cw_l[any_bit], um[any_bit]
-            for li in self._uniq_langs:
-                bit = np.uint64(1 << (int(li) & 63))
-                hit = (um[:, int(li) >> 6] & bit) != 0
-                if hit.any():
-                    vote_word.append(cw_l[hit])
-                    vote_col.append(
-                        np.full(int(hit.sum()), self._lang_to_col[li],
-                                dtype=np.int64))
-        vw = np.concatenate(vote_word)
-        vc = np.concatenate(vote_col)
-        Wc = np.bincount(vw * ncol + vc, minlength=n_words * ncol) \
-            .reshape(n_words, ncol).astype(np.int32)
+        uc = np.flatnonzero(self._uniq_mask[small_w])
+        u_char, u_k = np.nonzero(_unpack(self._uniq_mask[cps_w[uc]],
+                                         len(self._uniq_langs)))
+        key, cnt = np.unique(np.concatenate([
+            cw[has_sv] * ncol + self._lang_to_col[sv[has_sv]],
+            cw[uc[u_char]] * ncol + self._uniq_col[u_k]]), return_counts=True)
+        word, nz, c1, col, c2 = _top_two(key, cnt, ncol)
+        l1_configured = cfg.languages[self._vote_langs[col]]
+        single_v = (nz == 1) & l1_configured
+        ok = single_v | ((nz >= 2) & (c1 > c2) & l1_configured)
 
-        nz = (Wc > 0).sum(axis=1)
-        c1 = Wc.max(axis=1)
-        l1col = Wc.argmax(axis=1)
-        W2 = Wc.copy()
-        W2[np.arange(n_words), l1col] = -1
-        c2 = W2.max(axis=1)
-        l1 = np.where(c1 > 0, self._vote_langs[l1col], -1)
-        l1_configured = (l1 >= 0) & cfg.languages[np.maximum(l1, 0)]
-
-        # word vote: -2 = UNKNOWN
-        word_vote = np.full(n_words, -2, dtype=np.int64)
-        single = (nz == 1) & l1_configured
-        word_vote[single] = l1[single]
-        multi = (nz >= 2) & (c1 > c2) & l1_configured
-        word_vote[multi] = l1[multi]
+        # word vote column: -1 = UNKNOWN
+        word_col = np.full(n_words, -1, dtype=np.int64)
+        word_col[word[ok]] = col[ok]
+        single = np.zeros(n_words, dtype=bool)
+        single[word[single_v]] = True
 
         # logogram word value only in the single-configured-language branch
         # (LanguageDetector.kt:417-426)
@@ -209,9 +229,9 @@ class Detector:
                       C.LOGOGRAM_WORD_VALUE, C.FULL_WORD_VALUE)
 
         # --- per-row totals -------------------------------------------------
-        voted = word_vote >= 0
+        voted = word_col >= 0
         T = np.bincount(
-            wb.word_row[voted] * ncol + self._lang_to_col[word_vote[voted]],
+            wb.word_row[voted] * ncol + word_col[voted],
             weights=wv[voted], minlength=n_rows * ncol
         ).reshape(n_rows, ncol)
         U = np.bincount(wb.word_row[~voted], weights=wv[~voted],
@@ -258,18 +278,17 @@ class Detector:
 
         # --- candidate filtering (filterLanguagesByRules) -------------------
         undec = ~decided
-        # word script uniformity via segment reduction over in-word chars
-        order_ok = cw  # non-decreasing
-        seg_starts = np.flatnonzero(
-            np.concatenate([[True], np.diff(order_ok) > 0]))
-        smin = np.minimum.reduceat(sid_w, seg_starts)
-        smax = np.maximum.reduceat(sid_w, seg_starts)
-        uniform = (smin == smax) & (smin < C.NUM_SCRIPTS)
+        # a word is script-uniform when no char's script differs from the
+        # previous char's in the same word (cw is non-decreasing)
+        w_sid = sid_w[np.cumsum(wb.word_len) - wb.word_len]
+        mixed = np.zeros(n_words, dtype=bool)
+        mixed[cw[1:][(sid_w[1:] != sid_w[:-1]) & (cw[1:] == cw[:-1])]] = True
+        uniform = ~mixed & (w_sid < C.NUM_SCRIPTS)
         wv_f = np.where(wb.word_is_logogram,
                         C.LOGOGRAM_WORD_VALUE, C.FULL_WORD_VALUE)
         A = np.bincount(
             wb.word_row[uniform] * C.NUM_SCRIPTS
-            + smin[uniform].astype(np.int64),
+            + w_sid[uniform].astype(np.int64),
             weights=wv_f[uniform], minlength=n_rows * C.NUM_SCRIPTS
         ).reshape(n_rows, C.NUM_SCRIPTS)
         adjusted_f = np.bincount(wb.word_row, weights=wv_f,
@@ -283,25 +302,21 @@ class Detector:
         script_cand &= cfg.languages
         cand_new = np.where(has_alpha[:, None], script_cand, cand)
 
-        # accent-char counting (count a language once per word)
-        hits = np.zeros((n_rows, len(self._accent_langs)), dtype=np.float64)
-        small_all = cps_w < MASK_TABLE_SIZE
-        am = CHARLANG_MASK[np.where(small_all, cps_w, 0)]
-        am[~small_all] = 0
-        any_acc = (am[:, 0] | am[:, 1]) != 0
-        if any_acc.any():
-            cw_a = cw[any_acc]
-            am_a = am[any_acc]
-            wrow = wb.word_row
-            for j, li in enumerate(self._accent_langs):
-                bit = np.uint64(1 << (int(li) & 63))
-                h = (am_a[:, int(li) >> 6] & bit) != 0
-                if h.any():
-                    words_hit = np.unique(cw_a[h])
-                    np.add.at(hits, (wrow[words_hit], j), 1.0)
+        # accent-char counting: OR the accent chars' language bits per
+        # word, so a language counts once per word, then sum per row
+        ac = np.flatnonzero(_ACCENT_MASK[small_w])
+        a_word = cw[ac]
+        first = np.flatnonzero(np.diff(a_word, prepend=-1))
+        a_bits = _unpack(np.bitwise_or.reduceat(_ACCENT_MASK[cps_w[ac]], first),
+                         len(_ACCENT_LANGS))
+        a_row = wb.word_row[a_word[first]]
+        r_first = np.flatnonzero(np.diff(a_row, prepend=-1))
+        hits = np.zeros((n_rows, len(_ACCENT_LANGS)), dtype=np.int64)
+        hits[a_row[r_first]] = np.add.reduceat(a_bits, r_first, axis=0,
+                                               dtype=np.int32)
 
         half = adjusted_f / 2.0
-        acc_cand = cand_new[:, self._accent_langs]
+        acc_cand = cand_new[:, _ACCENT_LANGS]
         subset = acc_cand & (hits >= half[:, None]) & (half > 0)[:, None]
         has_subset = subset.any(axis=1)
         # Reference returns the full language set early when NO word is
@@ -311,12 +326,9 @@ class Detector:
         # just as the script narrowing above already is (cand_new keeps
         # `cand` where ~has_alpha).
         has_subset &= has_alpha
-        cand_final = cand_new.copy()
-        rows_sub = np.flatnonzero(has_subset)
-        if len(rows_sub):
-            narrowed = np.zeros((len(rows_sub), C.NUM_LANGUAGES), dtype=bool)
-            narrowed[:, self._accent_langs] = subset[rows_sub]
-            cand_final[rows_sub] = cand_new[rows_sub] & narrowed
+        narrowed = np.zeros_like(cand_new)
+        narrowed[:, _ACCENT_LANGS] = subset
+        cand_final = np.where(has_subset[:, None], cand_new & narrowed, cand_new)
 
         cand_out = np.where(undec[:, None], cand_final, cand)
         return rule_lang, cand_out
@@ -354,26 +366,27 @@ class Detector:
         perm = np.lexsort(cand.T)
         rows, cand = rows[perm], cand[perm]
         sub = _gather_rows(cleaned, rows)
-        max_n = max(ns)
+        max_n, min_n = max(ns), min(ns)
         H = rolling_hashes(sub.cps, max_n)
-        valid = valid_window_starts(sub, max_n)
+        valid = valid_window_starts(sub, max_n, min_n)
         row_id = sub.row_ids()
 
-        # Per order k: the parent map D_k -> D_{k-1} of the distinct
-        # k-grams D_k, the distinct (row, k-gram) windows with each row's
-        # offset among them, and per language its hits as (rank in D_k, ln f).
+        # Per order k, top down: the distinct k-grams D_k with one start
+        # each (rep), the parent map D_{k+1} -> D_k, the distinct (row,
+        # k-gram) windows with each row's offset among them, and per
+        # language its hits as (rank in D_k, ln f).  Below min(ns) no window
+        # is scored: D_k is then only the k-prefixes of D_{k+1}.
         parent, windows, hits = {}, {}, {}
-        prev_rank = None
-        for k in range(1, max_n + 1):
-            starts = valid[k - 1]
+        rep = None
+        for k in range(max_n, 0, -1):
+            starts = valid[k - 1] if k >= min_n else rep
             D, rank = np.unique(H[k - 1][starts], return_inverse=True)
-            if k == 1:
-                n_unigrams = len(D)
-            else:
-                parent[k] = np.empty(len(D), dtype=np.int64)
-                parent[k][rank] = prev_rank[starts]
-            prev_rank = np.empty(len(sub.cps), dtype=np.int64)
-            prev_rank[starts] = rank
+            if rep is not None:
+                rank_at = np.empty(len(sub.cps), dtype=np.int64)
+                rank_at[starts] = rank
+                parent[k + 1] = rank_at[rep]
+            rep = np.empty(len(D), dtype=np.int64)
+            rep[rank] = starts
             if k in ns:
                 w_row, w_rank = _distinct_windows(row_id[starts], rank, len(D))
                 windows[k] = (w_row, w_rank,
@@ -384,6 +397,7 @@ class Detector:
                                      np.arange(C.NUM_LANGUAGES + 1))
             hits[k] = (bounds, pos[by_lang],
                        np.log(freq[by_lang].astype(np.float64)))
+        n_unigrams = len(D)
 
         cjk_set = set(_CJK_BOOST_LANGS.tolist())
         for lang in np.flatnonzero(cand.any(axis=0)):
@@ -452,14 +466,15 @@ class Detector:
         conf_matrix = (np.zeros((n_rows, C.NUM_LANGUAGES), dtype=np.float64)
                        if with_matrix else None)
 
-        cleaned = clean_batch(texts)
+        encoded = encode_texts(texts)
+        cleaned = clean_batch(texts, encoded=encoded)
         clen = cleaned.row_lengths()
         letters_per_row = np.bincount(
             cleaned.row_ids()[IS_LETTER[cleaned.cps]], minlength=n_rows
         ) if len(cleaned.cps) else np.zeros(n_rows, dtype=np.int64)
         viable = (clen > 0) & (letters_per_row > 0)
 
-        rule_lang, cand = self._rule_stage(texts)
+        rule_lang, cand = self._rule_stage(texts, encoded=encoded)
         rule_hit = (rule_lang >= 0) & viable
         lang[rule_hit] = rule_lang[rule_hit]
         conf1[rule_hit] = 1.0
@@ -580,7 +595,7 @@ class Detector:
         count = np.zeros(g, dtype=np.int64)
         n = 3
         H = rolling_hashes(sub.cps, n)
-        starts = valid_window_starts(sub, n)[n - 1]
+        starts = valid_window_starts(sub, n, n)[n - 1]
         if len(starts) == 0:
             return logsum, count
         D, rank = np.unique(H[n - 1][starts], return_inverse=True)

@@ -87,15 +87,17 @@ def hash_ngram_str(ngram: str) -> np.uint64:
     return np.uint64(h)
 
 
-def valid_window_starts(batch: CharBatch, max_n: int = MAX_N) -> list[np.ndarray]:
+def valid_window_starts(batch: CharBatch, max_n: int = MAX_N,
+                        min_n: int = 1) -> list[np.ndarray | None]:
     """Return [S1, ..., Smax_n]; Sn = starts of the all-letter n-windows that
-    lie within one row (sorted int64)."""
+    lie within one row (sorted int64).  Orders below ``min_n`` are not
+    computed (None)."""
     cps = batch.cps
     cum = np.zeros(len(cps) + 1, dtype=np.int64)
     np.cumsum(IS_LETTER[cps], out=cum[1:])
     row_id = batch.row_ids()
-    out = []
-    for n in range(1, max_n + 1):
+    out = [None] * (min_n - 1)
+    for n in range(min_n, max_n + 1):
         n_windows = len(cps) - n + 1
         if n_windows <= 0:
             out.append(np.zeros(0, dtype=np.int64))

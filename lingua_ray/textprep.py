@@ -125,10 +125,12 @@ def _lower_cps(cps: np.ndarray, offsets: np.ndarray
     return out, new_offs
 
 
-def clean_batch(texts) -> CharBatch:
+def clean_batch(texts, encoded: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> CharBatch:
     """Vectorized ``cleanUpInputText`` over a batch (list[str] or Arrow
-    string column); returns cleaned codepoints."""
-    cps, offsets = encode_texts(texts)
+    string column); returns cleaned codepoints.  ``encoded`` is the batch's
+    :func:`encode_texts` output when the caller already has it."""
+    cps, offsets = encoded if encoded is not None else encode_texts(texts)
     cps, offsets = _trim_cps(cps, offsets)
     cps, offsets = _lower_cps(cps, offsets)
     n_rows = len(offsets) - 1
@@ -182,10 +184,11 @@ class WordBatch(NamedTuple):
     n_rows: int
 
 
-def build_word_batch(texts) -> WordBatch:
+def build_word_batch(texts, encoded: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> WordBatch:
     """Vectorized ``WordList.build`` over a batch of raw texts (list[str]
-    or Arrow string column)."""
-    cps, offsets = encode_texts(texts)
+    or Arrow string column); ``encoded`` as in :func:`clean_batch`."""
+    cps, offsets = encoded if encoded is not None else encode_texts(texts)
     n_rows = len(offsets) - 1
     if len(cps) == 0:
         e = np.zeros(0, dtype=np.int64)

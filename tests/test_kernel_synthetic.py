@@ -1,26 +1,33 @@
-"""The n-gram scoring kernel against its previous per-language walk.
+"""The language-detection kernel against its earlier implementations.
 
 Corpus-free: the module uses the ``synthetic_model`` artifact (``conftest.py``),
 trained with ``build_model_artifact`` from a small seeded corpus, so it runs
 on any host.  The oracles
 below are the kernel's earlier ``Detector._score_group`` (one
-``lookup_hashes`` per (language, level), backoff walked per window) and
-``Detector._lang_trigram_stats`` (windows deduplicated with ``lexsort``),
-kept verbatim; the current kernel must match them bit for bit.
+``lookup_hashes`` per (language, level), backoff walked per window),
+``Detector._lang_trigram_stats`` (windows deduplicated with ``lexsort``) and
+``Detector._rule_stage`` (a dense (words × vote columns) count matrix and a
+loop per accent language), kept verbatim; the current kernel must match them
+bit for bit.
 """
 
 import json
 
 import numpy as np
+import pyarrow as pa
 import pytest
+from conftest import _script_pool
 
 from lingua_ray import constants as C
 from lingua_ray import reference_impl as ref
-from lingua_ray.chartables import IS_LETTER
-from lingua_ray.kernel import (_CJK_BOOST_LANGS, _OOV_LOG_P, Detector,
-                               DetectorConfig, _gather_rows)
+from lingua_ray.chartables import (CHARLANG_MASK, IS_LETTER, MASK_TABLE_SIZE,
+                                   SCRIPT_ID, UNIQUE_CHAR_MASK)
+from lingua_ray.kernel import (_ACCENT_LANGS, _CHINESE, _CJK_BOOST_LANGS,
+                               _JAPANESE, _LATIN_CYR_DEV, _OOV_LOG_P, Detector,
+                               DetectorConfig, _gather_rows, _top_two)
 from lingua_ray.models import MAX_N, MODEL_VERSION, NgramModels, rolling_hashes
-from lingua_ray.textprep import CharBatch, clean_batch
+from lingua_ray.textprep import (CharBatch, build_word_batch, clean_batch,
+                                 encode_texts)
 
 
 def _score_group_oracle(self, cleaned: CharBatch, rows: np.ndarray,
@@ -188,7 +195,201 @@ def _lang_trigram_stats_oracle(self, cleaned: CharBatch, rows: np.ndarray,
     return logsum, count
 
 
+def _rule_stage_oracle(self, texts: list[str], encoded=None):
+    """Vectorized detectLanguageWithRules + filterLanguagesByRules.
+
+    Returns (rule_lang int16[n] with -1 = undecided,
+             cand bool[n, NUM_LANGUAGES] candidate sets).
+    """
+    cfg = self.config
+    n_rows = len(texts)
+    wb = build_word_batch(texts)
+    n_words = len(wb.word_row)
+    ncol = len(self._vote_langs)
+
+    rule_lang = np.full(n_rows, -1, dtype=np.int16)
+    cand = np.broadcast_to(cfg.languages, (n_rows, C.NUM_LANGUAGES)).copy()
+    if n_words == 0:
+        return rule_lang, cand
+
+    sid = SCRIPT_ID[wb.cps]
+    in_word = wb.char_word >= 0
+    cw = wb.char_word[in_word]
+    sid_w = sid[in_word].astype(np.int64)
+    cps_w = wb.cps[in_word]
+
+    # --- per-word language vote counts ---------------------------------
+    sv = self._script_vote[np.minimum(sid_w, C.NUM_SCRIPTS)]
+    has_sv = sv >= 0
+    vote_word = [cw[has_sv]]
+    vote_col = [self._lang_to_col[sv[has_sv]]]
+    # unique-char votes for Latin/Cyrillic/Devanagari chars
+    lcd = np.isin(sid_w, _LATIN_CYR_DEV) & ~has_sv
+    if lcd.any():
+        cps_l = cps_w[lcd]
+        cw_l = cw[lcd]
+        small = cps_l < MASK_TABLE_SIZE
+        cps_l, cw_l = cps_l[small], cw_l[small]
+        um = UNIQUE_CHAR_MASK[cps_l]  # (m, 2) uint64
+        any_bit = (um[:, 0] | um[:, 1]) != 0
+        cps_l, cw_l, um = cps_l[any_bit], cw_l[any_bit], um[any_bit]
+        for li in self._uniq_langs:
+            bit = np.uint64(1 << (int(li) & 63))
+            hit = (um[:, int(li) >> 6] & bit) != 0
+            if hit.any():
+                vote_word.append(cw_l[hit])
+                vote_col.append(
+                    np.full(int(hit.sum()), self._lang_to_col[li],
+                            dtype=np.int64))
+    vw = np.concatenate(vote_word)
+    vc = np.concatenate(vote_col)
+    Wc = np.bincount(vw * ncol + vc, minlength=n_words * ncol) \
+        .reshape(n_words, ncol).astype(np.int32)
+
+    nz = (Wc > 0).sum(axis=1)
+    c1 = Wc.max(axis=1)
+    l1col = Wc.argmax(axis=1)
+    W2 = Wc.copy()
+    W2[np.arange(n_words), l1col] = -1
+    c2 = W2.max(axis=1)
+    l1 = np.where(c1 > 0, self._vote_langs[l1col], -1)
+    l1_configured = (l1 >= 0) & cfg.languages[np.maximum(l1, 0)]
+
+    # word vote: -2 = UNKNOWN
+    word_vote = np.full(n_words, -2, dtype=np.int64)
+    single = (nz == 1) & l1_configured
+    word_vote[single] = l1[single]
+    multi = (nz >= 2) & (c1 > c2) & l1_configured
+    word_vote[multi] = l1[multi]
+
+    # logogram word value only in the single-configured-language branch
+    # (LanguageDetector.kt:417-426)
+    wv = np.where(single & wb.word_is_logogram,
+                  C.LOGOGRAM_WORD_VALUE, C.FULL_WORD_VALUE)
+
+    # --- per-row totals -------------------------------------------------
+    voted = word_vote >= 0
+    T = np.bincount(
+        wb.word_row[voted] * ncol + self._lang_to_col[word_vote[voted]],
+        weights=wv[voted], minlength=n_rows * ncol
+    ).reshape(n_rows, ncol)
+    U = np.bincount(wb.word_row[~voted], weights=wv[~voted],
+                    minlength=n_rows).astype(np.float64)
+    adjusted = np.bincount(wb.word_row, weights=wv,
+                           minlength=n_rows).astype(np.float64)
+
+    U_eff = np.where(U < 0.4 * adjusted, 0.0, U)
+    TU = np.concatenate([T, U_eff[:, None]], axis=1)  # UNKNOWN col last
+
+    nz_total = (TU > 0).sum(axis=1)
+    v1 = TU.max(axis=1)
+    a1 = TU.argmax(axis=1)
+    TU2 = TU.copy()
+    TU2[np.arange(n_rows), a1] = -1.0
+    v2 = TU2.max(axis=1)
+
+    col_ch = self._lang_to_col[_CHINESE]
+    col_ja = self._lang_to_col[_JAPANESE]
+    zh_ja = np.zeros(n_rows, dtype=bool)
+    if col_ch >= 0 and col_ja >= 0:
+        zh_ja = (nz_total == 2) & (T[:, col_ch] > 0) & (T[:, col_ja] > 0)
+
+    top_is_lang = a1 < ncol
+    top_lang = np.where(top_is_lang, self._vote_langs[np.minimum(a1, ncol - 1)],
+                        -1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio_ok = np.where(v1 > 0, v2 / np.where(v1 > 0, v1, 1.0), 1.0) <= 0.8
+
+    decided = np.zeros(n_rows, dtype=bool)
+    # exactly one entry and it is a language
+    one = (nz_total == 1) & top_is_lang
+    rule_lang[one] = top_lang[one].astype(np.int16)
+    decided |= one
+    # Chinese+Japanese ⇒ Japanese (LanguageDetector.kt:456-461)
+    rule_lang[zh_ja & ~decided] = _JAPANESE
+    decided |= zh_ja
+    # clear leader
+    lead = (nz_total >= 2) & ~zh_ja & ratio_ok & top_is_lang
+    lead &= ~decided
+    rule_lang[lead] = top_lang[lead].astype(np.int16)
+    decided |= lead
+
+    # --- candidate filtering (filterLanguagesByRules) -------------------
+    undec = ~decided
+    # word script uniformity via segment reduction over in-word chars
+    order_ok = cw  # non-decreasing
+    seg_starts = np.flatnonzero(
+        np.concatenate([[True], np.diff(order_ok) > 0]))
+    smin = np.minimum.reduceat(sid_w, seg_starts)
+    smax = np.maximum.reduceat(sid_w, seg_starts)
+    uniform = (smin == smax) & (smin < C.NUM_SCRIPTS)
+    wv_f = np.where(wb.word_is_logogram,
+                    C.LOGOGRAM_WORD_VALUE, C.FULL_WORD_VALUE)
+    A = np.bincount(
+        wb.word_row[uniform] * C.NUM_SCRIPTS
+        + smin[uniform].astype(np.int64),
+        weights=wv_f[uniform], minlength=n_rows * C.NUM_SCRIPTS
+    ).reshape(n_rows, C.NUM_SCRIPTS)
+    adjusted_f = np.bincount(wb.word_row, weights=wv_f,
+                             minlength=n_rows).astype(np.float64)
+
+    has_alpha = A.sum(axis=1) > 0
+    m = A.max(axis=1)
+    kept = A >= (0.8 * np.where(m > 0, m, 1.0))[:, None]
+    kept &= A > 0
+    script_cand = kept @ self._lang_scripts.T.astype(np.float64) > 0
+    script_cand &= cfg.languages
+    cand_new = np.where(has_alpha[:, None], script_cand, cand)
+
+    # accent-char counting (count a language once per word)
+    hits = np.zeros((n_rows, len(self._accent_langs)), dtype=np.float64)
+    small_all = cps_w < MASK_TABLE_SIZE
+    am = CHARLANG_MASK[np.where(small_all, cps_w, 0)]
+    am[~small_all] = 0
+    any_acc = (am[:, 0] | am[:, 1]) != 0
+    if any_acc.any():
+        cw_a = cw[any_acc]
+        am_a = am[any_acc]
+        wrow = wb.word_row
+        for j, li in enumerate(self._accent_langs):
+            bit = np.uint64(1 << (int(li) & 63))
+            h = (am_a[:, int(li) >> 6] & bit) != 0
+            if h.any():
+                words_hit = np.unique(cw_a[h])
+                np.add.at(hits, (wrow[words_hit], j), 1.0)
+
+    half = adjusted_f / 2.0
+    acc_cand = cand_new[:, self._accent_langs]
+    subset = acc_cand & (hits >= half[:, None]) & (half > 0)[:, None]
+    has_subset = subset.any(axis=1)
+    # Reference returns the full language set early when NO word is
+    # script-uniform (LanguageDetector.kt:494-496,
+    # detectedAlphabets.hasOnlyZeroValues() -> return languages) --
+    # the accent-char narrowing below must be skipped for those rows,
+    # just as the script narrowing above already is (cand_new keeps
+    # `cand` where ~has_alpha).
+    has_subset &= has_alpha
+    cand_final = cand_new.copy()
+    rows_sub = np.flatnonzero(has_subset)
+    if len(rows_sub):
+        narrowed = np.zeros((len(rows_sub), C.NUM_LANGUAGES), dtype=bool)
+        narrowed[:, self._accent_langs] = subset[rows_sub]
+        cand_final[rows_sub] = cand_new[rows_sub] & narrowed
+
+    cand_out = np.where(undec[:, None], cand_final, cand)
+    return rule_lang, cand_out
+
+
 class OracleDetector(Detector):
+    """The kernel with its earlier rule stage, scoring and trigram stats."""
+
+    def __init__(self, models, config=None):
+        super().__init__(models, config)
+        self._accent_langs = np.array(
+            [li for li in _ACCENT_LANGS], dtype=np.int64)
+
+    _rule_stage = _rule_stage_oracle
     _score_group = _score_group_oracle
     _lang_trigram_stats = _lang_trigram_stats_oracle
 
@@ -238,7 +439,51 @@ def _adversarial_texts(vocab) -> list[str]:
     texts.append(" ".join(vocab[C.ISO1_INDEX["en"]][:3]
                           + vocab[C.ISO1_INDEX["ru"]][:3]
                           + vocab[C.ISO1_INDEX["zh"]][:2]))
+    # long rows: one word over and over (every trigram repeats, also across
+    # rows), rows ending in a two-letter word (a bigram at the row end), and
+    # letter runs whose trigrams the model lacks (backoff to 2- and 1-grams)
+    for li in (C.ISO1_INDEX["en"], C.ISO1_INDEX["ru"], C.ISO1_INDEX["el"]):
+        words = vocab[li]
+        letters = sorted(set("".join(words)))
+        texts += [" ".join([max(words, key=len)] * 40)] * 2
+        texts.append(" ".join(rng.choice(words, size=60)) + " "
+                     + "".join(rng.choice(letters, size=2)))
+        texts.append("".join(rng.choice(letters, size=150)) + " "
+                     + "".join(rng.choice(letters, size=2)))
+        texts.append("".join(rng.choice(letters, size=3)) * 3)
     return texts
+
+
+def _rule_texts() -> list:
+    """Rows for the branches of the rule stage, nulls included."""
+    one = {s: chr(int(_script_pool(s)[0]))
+           for s in C.SCRIPTS_SUPPORTING_EXACTLY_ONE_LANGUAGE
+           if s not in C.SCRIPTS_WITH_LOGOGRAMS}
+    el, hy, ka = one["GREEK"], one["ARMENIAN"], one["GEORGIAN"]
+    uniq = "".join(C.UNIQUE_CHARS[li][-1] for li in C.LANGUAGES_WITH_UNIQUE_CHARS)
+    accents = "".join(chars[-1] for chars in C.CHARS_TO_LANGUAGES)
+    return [
+        # vote ties between columns, and clear leaders
+        el + hy, hy + el, el * 2 + hy * 2, el + hy + ka, el * 2 + hy,
+        hy * 3 + el * 2 + ka, f"{el}{hy} {el}{hy} {ka}", f"{el}{hy} {el}",
+        el + "ß", "ßß" + el, "ßő", "őßő",
+        # words voting in every column a non-logogram char can vote in
+        "".join(one.values()) + uniq, "".join(one.values()) * 2 + uniq,
+        uniq + " " + uniq[::-1],
+        # codepoints >= MASK_TABLE_SIZE next to unique and accented chars
+        "\uff58ß", "ß\uff58", "\ua641ѓ", el + "\U0001d41a", "\U0001d41añ",
+        "\uff58" * 3 + " ñ",
+        # unique and accented chars of several languages in one word
+        uniq, accents, accents + " " + accents[::-1] + " plain", "ñãąßő ñ ã",
+        "ñ ñ ñ plain", "żîñ żîñ", "ěř " * 4, "ñññ a b c d", "ããñ ã b c d e",
+        # logogram words
+        "上海大学", "日本語のテキスト", "사랑해요", "漢字kana", "ひらがな 漢字",
+        "上 ひ", "漢" + el,
+        # no script-uniform word
+        "a" + el, f"a{el} b{hy}", "😀 🎉", "123 !!", "a1b2", "ñ😀",
+        # empty and null rows
+        "", None, "   ", "\t\n",
+    ]
 
 
 CONFIGS = {
@@ -247,6 +492,8 @@ CONFIGS = {
     "en_de": lambda: DetectorConfig.from_iso1(["en", "de"]),
     "cjk_ru": lambda: DetectorConfig.from_iso1(["zh", "ja", "ko", "ru"]),
     "min_distance": lambda: DetectorConfig(minimum_relative_distance=0.1),
+    "scripts_accents": lambda: DetectorConfig.from_iso1(
+        ["el", "hy", "ka", "de", "hu", "pl", "es", "pt", "vi", "uk"]),
 }
 
 
@@ -289,6 +536,67 @@ def test_score_group_bit_equal_to_oracle(trained, name):
     got = _assert_same_detect(models, CONFIGS[name](), texts)
     # the texts reach the scoring path and hit the model
     assert (got["n_values"] > 1).any()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_rule_stage_bit_equal_to_oracle(trained, name):
+    models, vocab = trained
+    texts = _rule_texts() + _adversarial_texts(vocab)
+    det = Detector(models, CONFIGS[name]())
+    want = OracleDetector(models, CONFIGS[name]())._rule_stage(texts)
+    arrow = pa.array(texts, type=pa.string())
+    for got in (det._rule_stage(texts), det._rule_stage(arrow),
+                det._rule_stage(arrow, encoded=encode_texts(arrow))):
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+    rule_lang, cand = want
+    assert (rule_lang >= 0).any() and (rule_lang < 0).any()
+    # some undecided rows keep fewer candidates than configured
+    undecided = cand[rule_lang < 0]
+    assert (undecided.sum(axis=1) < CONFIGS[name]().languages.sum()).any()
+    _assert_same_detect(models, CONFIGS[name](), texts)
+
+
+def _top_two_dense(key, cnt, ncol, n_words):
+    """The rule stage's earlier dense per-word reduction, for voting words."""
+    Wc = np.bincount(key, weights=cnt, minlength=n_words * ncol) \
+        .reshape(n_words, ncol).astype(np.int64)
+    nz = (Wc > 0).sum(axis=1)
+    c1 = Wc.max(axis=1)
+    l1col = Wc.argmax(axis=1)
+    W2 = Wc.copy()
+    W2[np.arange(n_words), l1col] = -1
+    c2 = W2.max(axis=1)
+    w = np.flatnonzero(nz)
+    return w, nz[w], c1[w], l1col[w], c2[w]
+
+
+def test_top_two_matches_dense_argmax():
+    rng = np.random.default_rng(5)
+    cases = [
+        # word 0: tie between columns 1 and 3; word 1 votes in every column
+        # with a tie at the top; word 2 in every column, all counts equal;
+        # word 4 in one column
+        (4, [1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16], [2, 2, 1, 3, 3, 1, 2, 2, 2, 2, 5]),
+        (1, [0, 2, 3], [4, 1, 1]),       # one column: every word votes in all
+        (3, [], []),
+    ]
+    for _ in range(20):
+        ncol = int(rng.integers(1, 6))
+        key = np.unique(rng.integers(0, 30 * ncol, size=40))
+        cases.append((ncol, key, rng.integers(1, 4, size=len(key))))
+    for ncol, key, cnt in cases:
+        key = np.asarray(key, dtype=np.int64)
+        cnt = np.asarray(cnt, dtype=np.int64)
+        n_words = int(key.max()) // ncol + 1 if len(key) else 0
+        word, nz, c1, col, c2 = _top_two(key, cnt.copy(), ncol)
+        w, d_nz, d_c1, d_col, d_c2 = _top_two_dense(key, cnt, ncol, n_words)
+        for a, b in ((word, w), (nz, d_nz), (c1, d_c1), (col, d_col)):
+            np.testing.assert_array_equal(a, b)
+        # the rule stage reads the second count only where nz >= 2
+        np.testing.assert_array_equal(c2[nz >= 2], d_c2[nz >= 2])
+        assert (c2[nz == 1] == 0).all()
 
 
 def test_cjk_boost_rows_scored(trained):

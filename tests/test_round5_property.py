@@ -117,6 +117,38 @@ def test_round5_docs_ops_match_oracle_on_adversarial_input(
                                       obj=f"{name} (seed {seed})")
 
 
+def _rows(df: pd.DataFrame) -> list[tuple]:
+    """The frame's rows, sorted, with NULL kept apart from the string
+    'None' (``_canon`` folds them together)."""
+    df = df[sorted(df.columns)].round(6)
+    rows = [tuple(None if pd.isna(v) else v for v in r)
+            for r in df.itertuples(index=False)]
+    return sorted(rows, key=lambda r: [(v is None, str(v)) for v in r])
+
+
+def test_null_keys_form_their_own_group(ray_session, tmp_path):
+    """A NULL lang or source is a group of its own (or, for a source the
+    oracle's join drops, no row), never the string 'None'."""
+    import __ray_entry__ as E
+    n = 60
+    docs = pa.table({
+        "doc_id": pa.array(np.arange(n, dtype=np.int64)),
+        "text": pa.array(["x"] * n),
+        "lang": pa.array([None, "None", "en", "de"] * (n // 4), pa.string()),
+        "source": pa.array([None, "None", "web", "books", "web"] * (n // 5),
+                           pa.string()),
+        "n_chars": pa.array(np.ones(n, dtype=np.int64))})
+    pq.write_table(docs, tmp_path / "documents.parquet")
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/documents.parquet')")
+    for name in ("length_stratified_split", "source_lang_entropy"):
+        got = E.queries()[name](str(tmp_path))
+        got = got.to_pandas()
+        want = con.execute(E.oracle_sql()[name]).df()
+        assert _rows(got) == _rows(want), name
+
+
 EVENT_OPS = ["events_sessions", "events_hourly", "events_stats",
              "events_lag", "events_sliding", "events_cumsum",
              "events_funnel", "events_funnel_count", "events_retention",

@@ -64,7 +64,10 @@ def _rotate_words(texts: pa.ChunkedArray, rep: int) -> pa.Array:
     short docs DO plant exact-duplicate groups in the scaled corpus
     (dedup operators then have real work, which is fine for a timing
     rehearsal, but the expansion is only fully duplicate-free for docs
-    with ≥ REPS tokens)."""
+    with ≥ REPS tokens).  A null text becomes "" (the repo-wide null-text
+    convention); list offsets are int64, so the token total is not capped
+    at 2^31."""
+    texts = pc.fill_null(texts, "")
     if rep == 0:
         return texts.combine_chunks()
     parts = pc.split_pattern(texts, " ")
@@ -78,7 +81,7 @@ def _rotate_words(texts: pa.ChunkedArray, rep: int) -> pa.Array:
     j = np.arange(int(n.sum()), dtype=np.int64) - np.repeat(offs[:-1], n)
     src = np.repeat(offs[:-1], n) + (np.repeat(r, n) + j) % np.repeat(k, n)
     rotated = flat.take(pa.array(src))
-    out = pa.ListArray.from_arrays(pa.array(offs, pa.int32()), rotated)
+    out = pa.LargeListArray.from_arrays(pa.array(offs, pa.int64()), rotated)
     return pc.binary_join(out, " ")
 
 
