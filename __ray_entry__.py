@@ -258,7 +258,8 @@ def _q_transcript_turn_gaps(sf_dir: str):
     stable turn order — the transcript counterpart of events_lag.  Same
     skew-bounded adjacency primitive as role_transitions (no group
     exceeds _TURN_BUCKET+1 turns, mega-conversation-proof); turns with
-    no predecessor are dropped (SQL's LAG IS NOT NULL).  [SQL-verified]"""
+    no predecessor, or a NULL ts on either side, are dropped (SQL's
+    gap IS NOT NULL).  [SQL-verified]"""
     import pyarrow.compute as pc
     from lingua_ray.stages.adjacency import adjacent_pairs
 
@@ -267,12 +268,12 @@ def _q_transcript_turn_gaps(sf_dir: str):
                            bucket_size=_TURN_BUCKET)
 
     def gaps(batch: pa.Table) -> pa.Table:
+        gap = pc.subtract(batch.column("ts").cast(pa.int64()),
+                          batch.column("prev_ts").cast(pa.int64()))
         return pa.table({
             "conv_id": batch.column("conv_id"),
             "turn_idx": batch.column("turn_idx"),
-            "gap_us": pc.subtract(batch.column("ts").cast(pa.int64()),
-                                  batch.column("prev_ts").cast(pa.int64())),
-        })
+            "gap_us": gap}).filter(pc.is_valid(gap))
 
     return pairs.map_batches(gaps, batch_format="pyarrow")
 
@@ -592,6 +593,8 @@ def _q_transcript_sessionize(sf_dir: str):
     turn's (prev_ts, ts) with bucket-boundary clones, the break
     indicator is a vectorized compare, and bounded_cumsum turns
     indicators into session ids (turn 0 rows union in with indicator 0).
+    A NULL ts on either side of a gap is no break, as SQL's CASE WHEN
+    NULL > gap takes the ELSE 0 branch.
     A 10^8-turn conversation never forms one task's group at any stage.
     [SQL-verified — SUM(CASE WHEN gap THEN 1) OVER (PARTITION BY conv)]"""
     import pyarrow.compute as pc
@@ -616,8 +619,9 @@ def _q_transcript_sessionize(sf_dir: str):
         return pa.table({
             "conv_id": batch.column("conv_id"),
             "turn_idx": batch.column("turn_idx"),
-            "val": pc.cast(pc.greater(gap, pa.scalar(GAP_US, pa.int64())),
-                           pa.int64())})
+            "val": pc.cast(pc.fill_null(
+                pc.greater(gap, pa.scalar(GAP_US, pa.int64())), False),
+                pa.int64())})
 
     # each conversation's FIRST turn has no adjacent-pairs row, so it is
     # seeded into the cumsum with indicator 0.  The first turn is the
@@ -4190,7 +4194,8 @@ def _q_events_funnel_count(sf_dir: str):
 
 def _q_events_retention(sf_dir: str):
     """Cohort retention: users bucketed by their FIRST active week
-    (epoch-week integer — identical arithmetic in both engines), then
+    (epoch-week integer, floored, so a week before 1970 is negative in
+    both engines), then
     distinct-user counts per (cohort_week, week_offset) — the
     product-analytics triangle.  Per-block distinct (user, week)
     combiner → groupby distinct → per-user map_groups (group =
@@ -4375,168 +4380,6 @@ def _q_lang_temperature_mix(sf_dir: str):
     return pa.table({"lang": pa.array(counts["lang"], type=pa.string()),
                      "n": pa.array(counts["n"].to_numpy()),
                      "rate": pa.array(rate)})
-
-
-def _q_media_dims(sf_dir: str):
-    """Multimodal image round-trip over the codec-free coders:
-    deterministic per-doc payloads (JPEG / BMP / PGM / lossless-WebP;
-    dims and gray level are pure functions of doc_id), formats read by
-    the header parser, dims re-derived by the REAL pixel decoders in
-    ``ImageDecoder(real=True)`` — so a hash-green row proves the whole
-    encode→Arrow→actor-pool-decode path.  Payload synthesis is
-    per-row Python by necessity (codec bitstreams), bounded by
-    batch_size; at real scale this stage IS the decode workload.
-    [SQL-verified: the oracle recomputes the same dims arithmetic]"""
-    import struct
-
-    from lingua_ray.stages.multimodal import ImageDecoder, image_dims_batch
-
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-
-    def synth(batch: pa.Table) -> pa.Table:
-        from lingua_ray.stages.jpeg import encode_jpeg
-        from lingua_ray.stages.vp8l import encode_vp8l
-        dids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        payloads = []
-        for did in dids:
-            did = int(did)
-            w, h = 8 + did % 13, 8 + did % 7
-            g = (did * 37) % 256
-            kind = did % 4
-            if kind == 0:
-                payloads.append(encode_jpeg(np.full((h, w), g, np.uint8)))
-            elif kind == 1:              # uncompressed 24-bit BMP
-                row = bytes([g, g, g]) * w + b"\0" * ((-3 * w) % 4)
-                px = row * h
-                payloads.append(
-                    b"BM" + struct.pack("<IHHI", 54 + len(px), 0, 0, 54)
-                    + struct.pack("<IiiHHIIiiII", 40, w, h, 1, 24, 0,
-                                  len(px), 0, 0, 0, 0) + px)
-            elif kind == 2:              # binary PGM
-                payloads.append(f"P5 {w} {h} 255\n".encode()
-                                + bytes([g]) * (w * h))
-            else:                        # lossless WebP
-                payloads.append(encode_vp8l(np.full((h, w, 3), g,
-                                                    np.uint8)))
-        return batch.append_column(
-            "payload", pa.array(payloads, type=pa.large_binary()))
-
-    ds = ds.map_batches(synth, batch_format="pyarrow", batch_size=512)
-    ds = ds.map_batches(image_dims_batch, batch_format="pyarrow")
-    ds = ds.map_batches(ImageDecoder, batch_format="pyarrow",
-                        batch_size=256, concurrency=2, num_cpus=1,
-                        fn_constructor_kwargs={"real": True})
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "format": batch.column("format"),
-            "width": batch.column("width").cast(pa.int64()),
-            "height": batch.column("height").cast(pa.int64()),
-        })
-
-    return ds.map_batches(finish, batch_format="pyarrow")
-
-
-_MEDIA_DIMS_SQL = """
-SELECT doc_id,
-       CASE CAST(doc_id % 4 AS INTEGER)
-            WHEN 0 THEN 'jpeg' WHEN 1 THEN 'bmp'
-            WHEN 2 THEN 'pgm' ELSE 'webp' END AS format,
-       8 + doc_id % 13 AS width,
-       8 + doc_id % 7 AS height
-FROM documents
-"""
-
-
-def _q_audio_meta(sf_dir: str):
-    """Audio metadata round-trip over the header/frame walkers:
-    deterministic per-doc payloads (WAV PCM16 / native FLAC / MPEG1
-    Layer-III frames / Ogg-Vorbis pages; rates and durations pure
-    functions of doc_id), re-derived by ``audio_meta_batch`` — wav
-    chunk math, FLAC STREAMINFO, an exact VBR-capable mp3 frame walk
-    and the ogg granule-position walk.  [SQL-verified: the oracle
-    recomputes the same rate/duration arithmetic]"""
-    import struct
-
-    from lingua_ray.stages.multimodal import audio_meta_batch
-
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-
-    def _ogg_page(body: bytes, gran: int, first: bool) -> bytes:
-        segs = []
-        n = len(body)
-        while n >= 255:
-            segs.append(255)
-            n -= 255
-        segs.append(n)
-        return (b"OggS\x00" + (b"\x02" if first else b"\x00")
-                + gran.to_bytes(8, "little") + b"\x07\0\0\0" + b"\0" * 8
-                + bytes([len(segs)]) + bytes(segs) + body)
-
-    def synth(batch: pa.Table) -> pa.Table:
-        from lingua_ray.stages.flac import encode_flac
-        dids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        payloads = []
-        for did in dids:
-            did = int(did)
-            kind = did % 4
-            if kind == 0:                # WAV: 4000 zero samples @8k
-                data = b"\0\0" * 4000
-                payloads.append(
-                    b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
-                    + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 8000,
-                                            16000, 2, 16)
-                    + b"data" + struct.pack("<I", len(data)) + data)
-            elif kind == 1:              # FLAC: 4000 constant @16k
-                payloads.append(encode_flac(
-                    np.full(4000, 123, np.int64), 16000,
-                    mode="constant", block_size=4096))
-            elif kind == 2:              # MP3: k frames, 128kbps @44.1k
-                k = 1 + did % 5
-                hdr = ((0x7FF << 21) | (3 << 19) | (1 << 17) | (1 << 16)
-                       | (9 << 12) | (3 << 6))
-                flen = 144 * 128000 // 44100
-                payloads.append(
-                    (hdr.to_bytes(4, "big") + b"\xa5" * (flen - 4)) * k)
-            else:                        # Ogg Vorbis: granule 9000 @12k
-                ident = (b"\x01vorbis" + b"\0" * 4 + bytes([1])
-                         + (12000).to_bytes(4, "little") + b"\0" * 16)
-                payloads.append(_ogg_page(ident, 0, True)
-                                + _ogg_page(b"\xaa" * 40, 9000, False))
-        return batch.append_column(
-            "payload", pa.array(payloads, type=pa.large_binary()))
-
-    ds = ds.map_batches(synth, batch_format="pyarrow", batch_size=512)
-    ds = ds.map_batches(audio_meta_batch, batch_format="pyarrow")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "format": batch.column("format"),
-            "sample_rate": batch.column("sample_rate").cast(pa.int64()),
-            "n_channels": batch.column("n_channels").cast(pa.int64()),
-            "duration_s": batch.column("duration_s"),
-        })
-
-    return ds.map_batches(finish, batch_format="pyarrow")
-
-
-_AUDIO_META_SQL = """
-SELECT doc_id,
-       CASE CAST(doc_id % 4 AS INTEGER)
-            WHEN 0 THEN 'wav' WHEN 1 THEN 'flac'
-            WHEN 2 THEN 'mp3' ELSE 'ogg' END AS format,
-       CASE CAST(doc_id % 4 AS INTEGER)
-            WHEN 0 THEN 8000 WHEN 1 THEN 16000
-            WHEN 2 THEN 44100 ELSE 12000 END AS sample_rate,
-       1 AS n_channels,
-       CASE CAST(doc_id % 4 AS INTEGER)
-            WHEN 0 THEN 0.5 WHEN 1 THEN 0.25
-            WHEN 2 THEN CAST((1 + doc_id % 5) * 1152 AS DOUBLE) / 44100
-            ELSE 0.75 END AS duration_s
-FROM documents
-"""
 
 
 def _q_embedding_pca_stats(sf_dir: str):
@@ -4876,12 +4719,13 @@ def _q_conv_response_latency(sf_dir: str):
     earliest user turn and the earliest assistant turn (negative if the
     log shows the assistant first — both engines agree).  Per-block
     (conv, per-role min-ts) combiner rows, one groupby-min; the shuffle
-    carries 24-byte rows.  Convs lacking either role drop out.
-    [SQL-verified]"""
+    carries 24-byte rows.  Convs lacking either role drop out; a NULL
+    ts is skipped, as SQL's min() skips it.  [SQL-verified]"""
     import pyarrow.compute as pc
     TS_MAX = np.int64(2**62)
 
     def partial(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.is_valid(batch.column("ts")))
         if batch.num_rows == 0:
             return pa.table({"conv_id": pa.array([], pa.string()),
                              "user_us": pa.array([], pa.int64()),
@@ -5047,7 +4891,9 @@ def _q_conv_duration_stats(sf_dir: str):
     """Per-conversation duration and pace: turn count, wall-clock span in
     exact microseconds, and turns/minute (round 6; 0 for zero-span
     convs).  One (conv, n, min, max) combiner row per block per conv —
-    24 bytes + key on the wire.  [SQL-verified]"""
+    24 bytes + key on the wire.  A NULL ts counts as a turn but not in
+    the span, as in SQL's count(*) and min/max; a conv without any ts
+    has a NULL duration and pace 0.  [SQL-verified]"""
     import pyarrow.compute as pc
     from lingua_ray.stages.util import round_half_away
 
@@ -5059,14 +4905,15 @@ def _q_conv_duration_stats(sf_dir: str):
                              "ts_max": pa.array([], pa.int64())})
         conv = np.asarray(batch.column("conv_id")
                           .to_numpy(zero_copy_only=False))
-        us = (pc.cast(batch.column("ts"), pa.int64())
-              .to_numpy(zero_copy_only=False))
+        ts = batch.column("ts")
+        ok = pc.is_valid(ts).to_numpy(zero_copy_only=False)
+        us = pc.cast(ts, pa.int64()).fill_null(0).to_numpy()
         uc, codes = np.unique(conv, return_inverse=True)
         n = np.bincount(codes, minlength=len(uc)).astype(np.int64)
         tmin = np.full(len(uc), np.iinfo(np.int64).max, np.int64)
         tmax = np.full(len(uc), np.iinfo(np.int64).min, np.int64)
-        np.minimum.at(tmin, codes, us)
-        np.maximum.at(tmax, codes, us)
+        np.minimum.at(tmin, codes[ok], us[ok])
+        np.maximum.at(tmax, codes[ok], us[ok])
         return pa.table({"conv_id": pa.array(uc), "n": pa.array(n),
                          "ts_min": pa.array(tmin),
                          "ts_max": pa.array(tmax)})
@@ -5079,14 +4926,16 @@ def _q_conv_duration_stats(sf_dir: str):
 
     def finalize(batch: pa.Table) -> pa.Table:
         n = batch.column("sum(n)").to_numpy().astype(np.float64)
-        dur = (batch.column("max(ts_max)").to_numpy()
-               - batch.column("min(ts_min)").to_numpy())
+        lo = batch.column("min(ts_min)").to_numpy()
+        hi = batch.column("max(ts_max)").to_numpy()
+        has_ts = lo <= hi
+        dur = np.where(has_ts, hi - lo, 0)
         mins = dur / 60_000_000.0
         pace = np.where(mins > 0, n / np.where(mins > 0, mins, 1.0), 0.0)
         return pa.table({
             "conv_id": batch.column("conv_id"),
             "n_turns": pa.array(n.astype(np.int64)),
-            "duration_us": pa.array(dur),
+            "duration_us": pa.array(dur, mask=~has_ts),
             "turns_per_min": pa.array(round_half_away(pace, 6))})
 
     return agg.map_batches(finalize, batch_format="pyarrow")
@@ -5112,12 +4961,11 @@ def _q_events_anomaly_zscore(sf_dir: str):
         et = np.asarray(batch.column("event_type")
                         .to_numpy(zero_copy_only=False))
         ue, codes = np.unique(et, return_inverse=True)
-        key = codes.astype(np.int64) * (1 << 40) + (day // 86_400_000_000)
-        uk, cnt = np.unique(key, return_counts=True)
+        uk, cnt = np.unique(np.stack([codes, day], axis=1), axis=0,
+                            return_counts=True)
         return pa.table({
-            "event_type": pa.array(ue[(uk >> 40).astype(np.int64)]),
-            "day": pa.array((uk & ((1 << 40) - 1)) * 86_400_000_000)
-                     .cast(pa.timestamp("us")),
+            "event_type": pa.array(ue[uk[:, 0]]),
+            "day": pa.array(uk[:, 1]).cast(pa.timestamp("us")),
             "n": pa.array(cnt.astype(np.int64))})
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
@@ -5277,8 +5125,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dedup_minhash": _q_dedup_minhash,
         "dedup_clusters": _q_dedup_clusters,
         "simhash": _q_simhash,
-        "media_dims": _q_media_dims,
-        "audio_meta": _q_audio_meta,
         "embedding_pca_stats": _q_embedding_pca_stats,
         "orders_price_quantiles": _q_orders_price_quantiles,
         "events_sessions": _q_events_sessions,
@@ -5948,8 +5794,6 @@ def oracle_sql() -> dict[str, str]:
         "doc_tokens": tokens,
         "doc_fingerprint":
             "SELECT doc_id, md5(coalesce(text, '')) AS fingerprint FROM documents",
-        "media_dims": _MEDIA_DIMS_SQL,
-        "audio_meta": _AUDIO_META_SQL,
         "embedding_pca_stats": _PCA_STATS_SQL,
         "para_dedup": _para_dedup_sql(),
         "line_dedup": _line_dedup_sql(),
@@ -6328,7 +6172,8 @@ def oracle_sql() -> dict[str, str]:
         "events_retention": """
             WITH p AS (
               SELECT DISTINCT user_id,
-                CAST(epoch_us(ts) // 604800000000 AS BIGINT) AS week
+                CAST(epoch_us(time_bucket(INTERVAL '1 week', ts,
+                  TIMESTAMP '1970-01-01')) // 604800000000 AS BIGINT) AS week
               FROM events),
             c AS (SELECT user_id, min(week) AS cohort_week
                   FROM p GROUP BY user_id)
@@ -6617,9 +6462,9 @@ def oracle_sql() -> dict[str, str]:
             GROUP BY doc_id
         """,
         "events_sliding": """
-            SELECT make_timestamp(
-                     (epoch_us(ts) // 900000000 - k) * 900000000)
-                     AS window_start,
+            SELECT make_timestamp(epoch_us(time_bucket(
+                     INTERVAL '15 minutes', ts, TIMESTAMP '1970-01-01'))
+                     - k * 900000000) AS window_start,
                    count(*) AS n
             FROM events, (SELECT unnest(range(4)) AS k)
             GROUP BY 1

@@ -185,11 +185,12 @@ LOWER_SPECIAL: np.ndarray = _T["lower_special"]
 
 def encode_arrow(col) -> tuple[np.ndarray, np.ndarray]:
     """Arrow string column → (int32 codepoints, int64 offsets) WITHOUT
-    per-row Python str objects: the UTF-8 data buffer is decoded with
-    NumPy byte arithmetic (one ``bitwise_or.reduceat`` combines each
-    multi-byte sequence), with a zero-arithmetic fast path for all-ASCII
-    buffers.  Nulls count as empty strings.  Same contract as
-    :func:`encode_batch`."""
+    per-row Python str objects: the whole UTF-8 data buffer goes through
+    one C-level UTF-8 → UTF-32 transcode, with a zero-arithmetic fast
+    path for all-ASCII buffers, and each row's codepoint offset is the
+    number of UTF-8 start bytes before it.  Nulls count as empty
+    strings.  Invalid UTF-8, including a sequence split across two rows,
+    raises ``UnicodeDecodeError``.  Same contract as :func:`encode_batch`."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -224,24 +225,16 @@ def encode_arrow(col) -> tuple[np.ndarray, np.ndarray]:
         return b.astype(np.int32), off0
 
     is_start = (b & 0xC0) != 0x80
-    starts_cum = np.cumsum(is_start)
-    # row i's codepoint offset = number of start bytes before byte off0[i]
-    sc0 = np.concatenate([np.zeros(1, np.int64), starts_cum])
-    new_offs = sc0[off0]
-    payload = np.where(
-        is_start,
-        np.select([b < 0x80, b < 0xE0, b < 0xF0],
-                  [b, b & 0x1F, b & 0x0F], default=b & 0x07),
-        b & 0x3F).astype(np.int32)
-    start_pos = np.flatnonzero(is_start)
-    cp_idx = starts_cum - 1
-    seq_end = np.empty(len(start_pos), np.int64)
-    seq_end[:-1] = start_pos[1:]
-    seq_end[-1] = len(b)
-    from_end = (seq_end[cp_idx] - 1
-                - np.arange(len(b), dtype=np.int64)).astype(np.int32)
-    cps = np.bitwise_or.reduceat(payload << (from_end * 6), start_pos)
-    return cps.astype(np.int32, copy=False), new_offs
+    row_start = off0[:-1][off0[:-1] < len(b)]
+    if not is_start[row_start].all():
+        bad = int(row_start[~is_start[row_start]][0])
+        raise UnicodeDecodeError("utf-8", b[bad:bad + 1].tobytes(), 0, 1,
+                                 f"row starts mid-sequence at byte {bad}")
+    cps = np.frombuffer(b.tobytes().decode("utf-8").encode("utf-32-le"),
+                        dtype=np.int32).copy()
+    starts_before = np.zeros(len(b) + 1, np.int64)
+    np.cumsum(is_start, out=starts_before[1:])
+    return cps, starts_before[off0]
 
 
 def encode_batch(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:

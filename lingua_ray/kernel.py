@@ -280,7 +280,7 @@ class Detector:
         undec = ~decided
         # a word is script-uniform when no char's script differs from the
         # previous char's in the same word (cw is non-decreasing)
-        w_sid = sid_w[np.cumsum(wb.word_len) - wb.word_len]
+        w_sid = SCRIPT_ID[wb.cps[wb.word_start]]
         mixed = np.zeros(n_words, dtype=bool)
         mixed[cw[1:][(sid_w[1:] != sid_w[:-1]) & (cw[1:] == cw[:-1])]] = True
         uniform = ~mixed & (w_sid < C.NUM_SCRIPTS)

@@ -10,8 +10,8 @@ Reproduces, over whole Arrow batches at once:
   ``internal/util/WordList.kt:18-80``).
 
 Representation: a batch is one concatenated int32 codepoint array plus int64
-row offsets; words are (word_row, word_start, word_len) arrays plus a per-char
-word id.  All downstream rule kernels are NumPy reductions over these arrays.
+row offsets; words are (word_row, word_start) arrays plus a per-char word
+id.  All downstream rule kernels are NumPy reductions over these arrays.
 """
 
 from __future__ import annotations
@@ -179,8 +179,8 @@ class WordBatch(NamedTuple):
     char_row: np.ndarray   # int64 row id per char
     char_word: np.ndarray  # int64 word id per char (-1 for the ' ' separators)
     word_row: np.ndarray   # int64 row id per word
-    word_len: np.ndarray   # int64 char count per word
-    word_is_logogram: np.ndarray  # bool per word (len==1 and logogram char)
+    word_start: np.ndarray  # int64 index into cps of each word's first char
+    word_is_logogram: np.ndarray  # bool per word (a one-char logogram word)
     n_rows: int
 
 
@@ -212,14 +212,11 @@ def build_word_batch(texts, encoded: tuple[np.ndarray, np.ndarray] | None = None
     word_id_incl = np.cumsum(new_word) - 1
     char_word = np.where(sep, -1, word_id_incl)
 
-    n_words = int(new_word.sum())
     starts = np.flatnonzero(new_word)
-    word_row = row_id[starts]
-    in_word = ~sep
-    word_len = np.bincount(word_id_incl[in_word], minlength=n_words).astype(np.int64)
-    word_is_logogram = (word_len == 1) & logo[starts]
-    return WordBatch(cps, row_id, char_word, word_row, word_len,
-                     word_is_logogram, n_rows)
+    # a logogram always starts a word and ends it, so a word that starts
+    # with one is that one char
+    return WordBatch(cps, row_id, char_word, row_id[starts], starts,
+                     logo[starts], n_rows)
 
 
 def letter_mask(cps: np.ndarray) -> np.ndarray:

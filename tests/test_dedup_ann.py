@@ -131,30 +131,6 @@ def test_hyperplane_buckets_deterministic():
     assert b1.max() < 256
 
 
-def test_multimodal_stub_stages(ray_session):
-    ray = ray_session
-    from lingua_ray.stages.multimodal import (AudioFeaturizer, ImageDecoder,
-                                              make_fake_media_table)
-    t = make_fake_media_table(64)
-    ds = ray.data.from_arrow(t)
-    out = ds.map_batches(ImageDecoder, batch_format="pyarrow", batch_size=16,
-                         concurrency=2, num_cpus=1)
-    out = out.map_batches(AudioFeaturizer, batch_format="pyarrow",
-                          batch_size=16, concurrency=2, num_cpus=1)
-    res = out.take_batch(100, batch_format="pyarrow")
-    assert res.num_rows == 64
-    for col in ("width", "height", "mean_luma", "duration_s", "rms"):
-        assert col in res.schema.names
-    # deterministic fake: same payload -> same features
-    a = ImageDecoder()(t.slice(0, 4))
-    b = ImageDecoder()(t.slice(0, 4))
-    assert a.equals(b)
-    # real mode decodes netpbm/uncompressed-BMP; anything else is an
-    # explicit per-payload dependency boundary (PIL/opencv not installed)
-    with pytest.raises(NotImplementedError):
-        ImageDecoder(real=True)(t.slice(0, 4))
-
-
 # ---- round 2: vectorized kernel equivalence vs scalar references ----------
 
 FUZZ_TEXTS = ["", "a", "ab", "abcd", "hello world", "HELLO WORLD",
@@ -360,32 +336,6 @@ def test_spherical_kmeans_deterministic():
     assert np.allclose(np.linalg.norm(c1, axis=1), 1.0)
 
 
-def test_image_dims_header_parsing():
-    """Real container-header parsing (no codec libs): PNG/GIF/BMP/JPEG
-    dimensions from hand-built minimal headers."""
-    import struct
-    from lingua_ray.stages.multimodal import image_dims_batch
-
-    png = (b"\x89PNG\r\n\x1a\n" + struct.pack(">I", 13) + b"IHDR"
-           + struct.pack(">II", 640, 480) + b"\x08\x02\x00\x00\x00")
-    gif = b"GIF89a" + struct.pack("<HH", 320, 200) + b"\x00" * 4
-    bmp = (b"BM" + b"\x00" * 16 + struct.pack("<ii", 100, -50)
-           + b"\x00" * 8)
-    # JPEG: SOI, APP0 (len 16), SOF0 (len 17: precision + h/w + comps)
-    jpeg = (b"\xff\xd8"
-            + b"\xff\xe0" + struct.pack(">H", 16) + b"JFIF\x00" + b"\x00" * 9
-            + b"\xff\xc0" + struct.pack(">H", 17) + b"\x08"
-            + struct.pack(">HH", 1080, 1920) + b"\x03" + b"\x00" * 9)
-    junk = b"not an image at all"
-    t = pa.table({"payload": pa.array([png, gif, bmp, jpeg, junk, None],
-                                      type=pa.large_binary())})
-    out = image_dims_batch(t)
-    assert out.column("format").to_pylist() == \
-        ["png", "gif", "bmp", "jpeg", None, None]
-    assert out.column("width").to_pylist() == [640, 320, 100, 1920, -1, -1]
-    assert out.column("height").to_pylist() == [480, 200, 50, 1080, -1, -1]
-
-
 @pytest.mark.parametrize("driver_limit", [256 << 20, 0])
 def test_connected_components_matches_union_find(ray_session, driver_limit):
     """Min-label propagation == a driver-side union-find on random pair
@@ -421,28 +371,6 @@ def test_connected_components_matches_union_find(ray_session, driver_limit):
                                driver_limit_bytes=driver_limit).take_all()
     got = {r["doc_id"]: r["cluster"] for r in out}
     assert got == want
-
-
-def test_video_frame_sampler_stage(ray_session):
-    import ray.data
-    from lingua_ray.stages.multimodal import (VideoFrameSampler,
-                                              make_fake_media_table)
-    t = make_fake_media_table(12, seed=3)
-    ds = ray.data.from_arrow(t).map_batches(
-        VideoFrameSampler, batch_format="pyarrow", batch_size=4,
-        concurrency=2, num_cpus=1,
-        fn_constructor_kwargs={"fps": 2.0, "max_frames": 8})
-    out = ds.take_all()
-    assert len(out) == 12
-    for r in out:
-        assert 1 <= r["n_frames"] <= 8
-        assert len(r["frame_ts"]) == r["n_frames"]
-        # deterministic: 0.25s, 0.75s, ... at 2 fps
-        assert r["frame_ts"][0] == 0.25
-    with pytest.raises(NotImplementedError):
-        # real mode decodes GIF timelines; a non-GIF payload is the
-        # codec dependency boundary and raises per payload
-        VideoFrameSampler(real=True)(t.slice(0, 4))
 
 
 def test_connected_components_empty_pairs(ray_session):

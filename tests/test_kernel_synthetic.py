@@ -20,8 +20,8 @@ from conftest import _script_pool
 
 from lingua_ray import constants as C
 from lingua_ray import reference_impl as ref
-from lingua_ray.chartables import (CHARLANG_MASK, IS_LETTER, MASK_TABLE_SIZE,
-                                   SCRIPT_ID, UNIQUE_CHAR_MASK)
+from lingua_ray.chartables import (CHARLANG_MASK, IS_LETTER, IS_LOGOGRAM,
+                                   MASK_TABLE_SIZE, SCRIPT_ID, UNIQUE_CHAR_MASK)
 from lingua_ray.kernel import (_ACCENT_LANGS, _CHINESE, _CJK_BOOST_LANGS,
                                _JAPANESE, _LATIN_CYR_DEV, _OOV_LOG_P, Detector,
                                DetectorConfig, _gather_rows, _top_two)
@@ -556,6 +556,22 @@ def test_rule_stage_bit_equal_to_oracle(trained, name):
     undecided = cand[rule_lang < 0]
     assert (undecided.sum(axis=1) < CONFIGS[name]().languages.sum()).any()
     _assert_same_detect(models, CONFIGS[name](), texts)
+
+
+def test_word_batch_matches_word_lengths(trained):
+    """``word_start`` and ``word_is_logogram`` equal what the per-word char
+    counts gave: each word's first in-word char, and a one-char word whose
+    char is a logogram."""
+    _, vocab = trained
+    texts = _rule_texts() + _adversarial_texts(vocab)
+    wb = build_word_batch(texts)
+    in_word = np.flatnonzero(wb.char_word >= 0)
+    word_len = np.bincount(wb.char_word[in_word], minlength=len(wb.word_row))
+    np.testing.assert_array_equal(
+        wb.word_start, in_word[np.cumsum(word_len) - word_len])
+    np.testing.assert_array_equal(
+        wb.word_is_logogram, (word_len == 1) & IS_LOGOGRAM[wb.cps[wb.word_start]])
+    assert wb.word_is_logogram.any() and (word_len > 1).any()
 
 
 def _top_two_dense(key, cnt, ncol, n_words):

@@ -158,12 +158,16 @@ EVENT_OPS = ["events_sessions", "events_hourly", "events_stats",
 
 
 def _random_events(rng: np.random.Generator, n: int) -> pa.Table:
-    """Heavy exact-timestamp ties, one hot user, negative values —
-    the tie-break and skew edges the fixture's smooth event stream
-    never produces."""
+    """Heavy exact-timestamp ties, one hot user, negative values, events
+    before 1970 (on and just before a day boundary) — the tie-break, skew
+    and negative-epoch edges the fixture's smooth event stream never
+    produces."""
     base = np.int64(1_700_000_000_000_000)
     ts = (base + rng.integers(0, 50, n) * np.int64(3_600_000_000)
           + rng.integers(0, 4, n) * np.int64(60_000_000))
+    day = np.int64(86_400_000_000)
+    ts[3::37] = np.array([-day, -1, -400 * day + 1, -day - 1,
+                          -2 * day])[np.arange(len(ts[3::37])) % 5]
     users = rng.choice([1, 2, 3, 42, 42, 42, 99], size=n)
     et = rng.choice(["view", "click", "purchase", "signup", "error"], n)
     val = np.round(rng.normal(0, 50, n), 2)
@@ -225,7 +229,8 @@ TRANSCRIPT_OPS = [
 
 def _random_transcripts(rng: np.random.Generator, n_convs: int) -> pa.Table:
     """Sparse/gapped turn ordinals, convs NOT starting at 0, system and
-    tool roles, null/empty/NBSP texts, exact-timestamp ties — this
+    tool roles, null/empty/NBSP texts, exact-timestamp ties, null
+    timestamps (one turn of some convs, every turn of one) — this
     caught the idx==0 sessionize seed bug and the dpo_pairs empty-block
     crash that three fixture-green rounds never could."""
     rows = []
@@ -249,6 +254,8 @@ def _random_transcripts(rng: np.random.Generator, n_convs: int) -> pa.Table:
                                     "\xa0 nbsp"])))
             tool = str(rng.choice(["", "", "", "search", "code"]))
             ts = start + k * np.int64(rng.choice([0, 1, 60]) * 1_000_000)
+            if c == 7 or (c % 9 == 4 and k == n // 2):
+                ts = None
             rows.append((conv, ti, role, text, tool, ts))
     return pa.table({
         "conv_id": pa.array([r[0] for r in rows]),
@@ -256,7 +263,8 @@ def _random_transcripts(rng: np.random.Generator, n_convs: int) -> pa.Table:
         "role": pa.array([r[2] for r in rows]),
         "text": pa.array([r[3] for r in rows], pa.large_string()),
         "tool": pa.array([r[4] for r in rows]),
-        "ts": pa.array([int(r[5]) for r in rows]).cast(pa.timestamp("us"))})
+        "ts": pa.array([None if r[5] is None else int(r[5]) for r in rows],
+                       pa.int64()).cast(pa.timestamp("us"))})
 
 
 @pytest.mark.parametrize("seed", [0])
@@ -332,8 +340,7 @@ def _random_tpch(rng: np.random.Generator, tmp: "Path") -> None:
     ck = np.where(rng.random(n_ord) < 0.3, 7,
                   rng.integers(0, n_cust - 10, n_ord)).astype(np.int64)
     price = np.round(rng.uniform(100, 400000, n_ord), 2)
-    price[::5] = price[5::5 * 2].repeat(2)[:len(price[::5])] \
-        if False else price[::5]
+    price[::5] = price[5::5 * 2].repeat(2)[:len(price[::5])]  # pair ties
     price[::7] = np.floor(price[::7]) + 0.005         # exact half cents
     price[1::9] = price[0]                            # heavy rank ties
     day = np.int64(86_400_000_000)
