@@ -14,8 +14,8 @@ can emit every subframe type, stereo mode, partition order, escape
 partitions and wasted bits, so round-trip tests cover each decode
 path bit-exactly.
 
-Used by :class:`lingua_ray.stages.multimodal.AudioFeaturizer` (real
-mode), shrinking the codec-library boundary to mp3/ogg.
+No pipeline stage or query imports this module; the transcript filter
+has no audio path.
 """
 from __future__ import annotations
 
@@ -306,9 +306,8 @@ def _decode_frame(br: _BitReader, data: bytes, stream_sr: int,
 
 def decode_flac(p: bytes):
     """REAL pure-NumPy FLAC decode.  Returns (sample_rate, n_channels,
-    samples) with samples float64 in [-1, 1], channel-interleaved —
-    the same contract as :func:`.multimodal.decode_wav` — or None when
-    the payload is not (valid) FLAC."""
+    samples) with samples float64 in [-1, 1], channel-interleaved, or
+    None when the payload is not (valid) FLAC."""
     info = parse_streaminfo(p)
     if info is None:
         return None

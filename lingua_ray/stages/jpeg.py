@@ -1,9 +1,7 @@
 """Baseline JPEG codec, pure NumPy + stdlib — no external codecs.
 
-Decoder: Huffman JPEG, sequential (SOF0/SOF1) AND progressive (SOF2),
-plus arithmetic-coded sequential (SOF9) AND progressive (SOF10)
-(QM coder — dispatched to :mod:`.jpeg_arith`) — marker walk,
-DQT/DHT/DAC/SOS parsing,
+Decoder: Huffman JPEG, sequential (SOF0/SOF1) AND progressive (SOF2) —
+marker walk, DQT/DHT/SOS parsing,
 byte-unstuffing with restart-marker segmentation, canonical-Huffman
 entropy decode through a 16-bit lookahead table, dequantization, and
 batched-matmul 2-D IDCTs.
@@ -17,11 +15,10 @@ is the FULL decode — chroma IDCT, replication upsampling to the luma
 grid, BT.601 YCbCr→RGB — returning the uint8 pixel array.
 Extended-sequential 12-bit precision decodes too (16-bit DQT, 2048
 level shift; pixel outputs scale to the uint8 contract).
-Hierarchical, lossless and CMYK streams return ``None`` — an honest
-boundary, not a crash.
+Arithmetic-coded (SOF9/SOF10), hierarchical, lossless and CMYK streams
+return ``None`` — an honest boundary, not a crash.
 
-Encoder (:func:`encode_jpeg`): the TEST ORACLE (the same encoder-oracle
-pattern as the GIF-LZW round-trip tests) — grayscale or YCbCr 4:4:4 /
+Encoder (:func:`encode_jpeg`): the TEST ORACLE — grayscale or YCbCr 4:4:4 /
 4:2:0, optional restart intervals, orthonormal FDCT, and self-built
 canonical Huffman tables written into DHT (fixed-length code sets: 12 DC
 categories at 4 bits, the 256 run/size symbols at 9-10 bits — valid Huffman
@@ -37,8 +34,8 @@ sequential decode of the same image.
 The per-symbol entropy loop is Python (Huffman decoding is inherently
 bit-serial); throughput is bounded per payload, which is the documented
 trade for a dependency-free decoder.  Reference: ITU-T T.81 §B (syntax),
-§F (sequential DCT decoding); lingua has no image path — this backs the
-multimodal stage family (SURVEY.md extras).
+§F (sequential DCT decoding).  No pipeline stage or query imports this
+module; the transcript filter has no image path.
 """
 
 from __future__ import annotations
@@ -227,8 +224,6 @@ def _decode_jpeg_inner(p: bytes, pixels: bool = False):
     qt: dict[int, np.ndarray] = {}
     hdc: dict[int, np.ndarray] = {}
     hac: dict[int, np.ndarray] = {}
-    dc_cond: dict[int, tuple] = {}
-    ac_cond: dict[int, int] = {}
     frame = None
     dri = 0
     i = 2
@@ -274,7 +269,7 @@ def _decode_jpeg_inner(p: bytes, pixels: bool = False):
                 vals = list(seg[j + 17:j + 17 + nv])
                 (hdc if tc == 0 else hac)[th] = _lookahead_table(bits, vals)
                 j += 17 + nv
-        elif m in (0xC0, 0xC1, 0xC2, 0xC9, 0xCA):   # Huffman/arith SOFs
+        elif m in (0xC0, 0xC1, 0xC2):   # Huffman SOFs
             prec, h, w, nc = struct.unpack(">BHHB", seg[:6])
             if prec not in (8, 12) or nc not in (1, 3) \
                     or w == 0 or h == 0:
@@ -282,9 +277,9 @@ def _decode_jpeg_inner(p: bytes, pixels: bool = False):
             if prec == 12 and m == 0xC0:
                 return None         # baseline SOF0 is 8-bit only
             if w * h > 64_000_000:
-                return None         # same 64 MP guard as the PNG path —
-                                    # reject before allocating coefficient
-                                    # planes for a crafted SOF
+                return None         # 64 MP guard — reject before
+                                    # allocating coefficient planes for
+                                    # a crafted SOF
             comps = []
             for c in range(nc):
                 cid, hv, tq = seg[6 + 3 * c:9 + 3 * c]
@@ -294,25 +289,10 @@ def _decode_jpeg_inner(p: bytes, pixels: bool = False):
                 comps.append({"id": cid, "h": hv >> 4, "v": hv & 15,
                               "tq": tq})
             frame = {"w": w, "h": h, "comps": comps, "qt": qt,
-                     "prog": m in (0xC2, 0xCA), "prec": prec,
-                     "arith": m in (0xC9, 0xCA), "pixels": pixels}
-        elif m in (0xC3, 0xC5, 0xC6, 0xC7, 0xCB, 0xCD, 0xCE, 0xCF):
-            return None             # lossless / hierarchical
-        elif m == 0xCC:             # DAC: arithmetic conditioning
-            j = 0
-            while j + 2 <= len(seg):
-                tc, tb = seg[j] >> 4, seg[j] & 15
-                cs = seg[j + 1]
-                if tc == 0:
-                    lo, up = cs & 15, cs >> 4
-                    if lo > up:
-                        return None
-                    dc_cond[tb] = (lo, up)
-                else:
-                    if not 1 <= cs <= 63:
-                        return None
-                    ac_cond[tb] = cs
-                j += 2
+                     "prog": m == 0xC2, "prec": prec, "pixels": pixels}
+        elif m in (0xC3, 0xC5, 0xC6, 0xC7, 0xC9, 0xCA, 0xCB, 0xCD, 0xCE,
+                   0xCF):
+            return None             # lossless / hierarchical / arithmetic
         elif m == 0xDD:             # DRI
             dri = struct.unpack(">H", seg[:2])[0]
         elif m == 0xDA:             # SOS
@@ -325,12 +305,6 @@ def _decode_jpeg_inner(p: bytes, pixels: bool = False):
                 cid, tt = seg[1 + 2 * c:3 + 2 * c]
                 sel[cid] = (tt >> 4, tt & 15)
                 order.append(cid)
-            if frame.get("arith") and not frame["prog"]:
-                # SOF9: QM-coded sequential scan
-                from .jpeg_arith import decode_arith_scan
-                return decode_arith_scan(p, i + 2 + seglen, frame, sel,
-                                         dc_cond, ac_cond, dri,
-                                         pixels=pixels)
             if not frame["prog"]:   # sequential: one scan and done
                 return _decode_scan(p, i + 2 + seglen, frame, sel, qt,
                                     hdc, hac, dri, pixels=pixels)
@@ -339,14 +313,8 @@ def _decode_jpeg_inner(p: bytes, pixels: bool = False):
                 prog_started = True
             band = (seg[1 + 2 * ns], seg[2 + 2 * ns],
                     seg[3 + 2 * ns] >> 4, seg[3 + 2 * ns] & 15)
-            if frame.get("arith"):  # SOF10: QM-coded progressive scan
-                from .jpeg_arith import decode_arith_progressive_scan
-                i = decode_arith_progressive_scan(
-                    p, i + 2 + seglen, frame, order, sel,
-                    dc_cond, ac_cond, dri, band)
-            else:
-                i = _progressive_scan(p, i + 2 + seglen, frame, order,
-                                      sel, qt, hdc, hac, dri, band)
+            i = _progressive_scan(p, i + 2 + seglen, frame, order,
+                                  sel, qt, hdc, hac, dri, band)
             continue
         i += 2 + seglen
     return None

@@ -11,7 +11,7 @@ inverse in reverse bitstream order.  Lossy VP8 payloads return ``None``
 — that boundary needs a full DCT video-intra codec.
 
 Encoder (:func:`encode_vp8l`): the TEST ORACLE (same encoder-oracle
-pattern as jpeg.py and the GIF-LZW tests): literal pixels under
+pattern as jpeg.py): literal pixels under
 flat complete Huffman codes (a symbols at L bits + b at L+1 so Kraft
 closes exactly), simple 1-2-symbol codes where a channel is
 near-constant, optional color cache, repeated-row LZ77 backrefs,
@@ -28,8 +28,8 @@ dx first) and the right-edge TR pixel (flat-array wraparound: TR of
 against libwebp requires the real codec, which this container does not
 ship.
 
-Reference: RFC 9649 (WebP lossless bitstream); lingua has no image
-path — this backs the multimodal stage family (SURVEY.md extras).
+Reference: RFC 9649 (WebP lossless bitstream).  No pipeline stage or
+query imports this module; the transcript filter has no image path.
 """
 
 from __future__ import annotations
@@ -552,7 +552,7 @@ def _find_vp8l_chunk(p: bytes):
 
 def decode_webp_pixels(p: bytes):
     """Decode a lossless (VP8L) WebP to a uint8 (H, W, 3) RGB array
-    (alpha dropped, like the PNG path), or None for lossy VP8 / damaged
+    (alpha dropped), or None for lossy VP8 / damaged
     streams / anything outside the subset."""
     try:
         body = _find_vp8l_chunk(p)
@@ -565,7 +565,7 @@ def decode_webp_pixels(p: bytes):
         if br.read(3) != 0:
             return None                 # reserved version bits
         if w * h > 64_000_000:
-            return None                 # same guard as PNG/JPEG paths
+            return None                 # same 64 MP guard as jpeg.py
         px = np.array(_decode_argb(br, w, h, True), dtype=np.uint32)
         rgb = np.stack([(px >> 16) & 0xFF, (px >> 8) & 0xFF, px & 0xFF],
                        axis=-1).astype(np.uint8)

@@ -1,7 +1,7 @@
-"""Property-based round-trips for the round-4 entropy coders: any
-input the encoders accept must decode bit-exactly.  Hypothesis drives
-the shapes/values; the deterministic encoder-oracle suites in
-test_flac_decode / test_multimodal_decode cover the feature matrix."""
+"""Property-based round-trip for the FLAC codec: any input the encoder
+accepts must decode bit-exactly.  Hypothesis drives the values; the
+deterministic encoder-oracle suite in test_flac_decode covers the
+feature matrix."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,38 +20,3 @@ def test_flac_roundtrip_any_samples(samples, block, mode):
     assert (sr, nch) == (8000, 1)
     np.testing.assert_array_equal(
         np.round(dec * 32768).astype(np.int64), s)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=3000),
-       st.integers(1, 9), st.integers(0, 2**31 - 1))
-def test_qm_coder_roundtrip_any_bits(bits, nctx, seed):
-    from lingua_ray.stages.jpeg_arith import (ArithDecoder, ArithEncoder,
-                                              Stats)
-
-    rng = np.random.RandomState(seed % (2**31))
-    ctxs = rng.randint(0, nctx, len(bits)).tolist()
-    enc = ArithEncoder()
-    st_ = Stats(nctx)
-    for b, c in zip(bits, ctxs):
-        enc.code(st_, c, b)
-    data = enc.flush().replace(b"\xff\x00", b"\xff")
-    dec = ArithDecoder(data)
-    st2 = Stats(nctx)
-    assert [dec.decode(st2, c) for c in ctxs] == bits
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**31 - 1),
-       st.booleans())
-def test_arith_jpeg_matches_huffman_any_shape(w, h, seed, progressive):
-    from lingua_ray.stages.jpeg import decode_jpeg_pixels, encode_jpeg
-    from lingua_ray.stages.jpeg_arith import encode_jpeg_arith
-
-    rng = np.random.RandomState(seed % (2**31))
-    img = rng.randint(0, 256, (h, w)).astype(np.uint8)
-    ph = decode_jpeg_pixels(encode_jpeg(img, progressive=progressive))
-    pa_ = decode_jpeg_pixels(encode_jpeg_arith(img,
-                                               progressive=progressive))
-    assert pa_ is not None
-    np.testing.assert_array_equal(ph, pa_)

@@ -3,7 +3,6 @@ path (subframe types, stereo modes, partition orders, escapes, wasted
 bits, bit depths) and the decoder must reproduce the input samples
 bit-exactly."""
 import numpy as np
-import pytest
 
 from lingua_ray.stages.flac import decode_flac, encode_flac, parse_streaminfo
 
@@ -96,24 +95,3 @@ def test_corrupt_and_foreign_payloads():
     p[-3] ^= 0xFF  # flip a bit inside the last frame -> CRC-16 mismatch
     assert decode_flac(bytes(p)) is None
     assert decode_flac(bytes(p[: len(p) // 2])) is None  # truncated
-
-
-def test_audio_featurizer_decodes_flac(ray_session):
-    import pyarrow as pa
-    import ray
-
-    from lingua_ray.stages.multimodal import AudioFeaturizer
-
-    s = _sine(4000, sr=8000, amp=0.5)
-    flac = encode_flac(s, 8000, block_size=1024)
-    ds = ray.data.from_arrow(pa.table({
-        "media_id": pa.array([0], type=pa.int64()),
-        "payload": pa.array([flac], type=pa.large_binary()),
-    }))
-    out = ds.map_batches(AudioFeaturizer, batch_format="pyarrow",
-                         concurrency=1, fn_constructor_kwargs={"real": True}
-                         ).take_all()
-    assert out[0]["duration_s"] == pytest.approx(0.5)
-    ref = s.astype(np.float64) / 32768.0
-    assert out[0]["rms"] == pytest.approx(
-        float(np.sqrt(np.mean(ref * ref))), rel=1e-9)

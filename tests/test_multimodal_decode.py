@@ -1,700 +1,9 @@
-"""Header parsing (WEBP/TIFF) and the REAL pure-NumPy image decode path
-(netpbm / uncompressed BMP) of stages/multimodal.py."""
-
-import struct
+"""Baseline JPEG codec (stages/jpeg.py): encoder-oracle round trips for
+sequential, progressive and 12-bit Huffman streams, full pixel decode,
+and rejection of malformed or out-of-subset streams."""
 
 import numpy as np
-import pyarrow as pa
-import pytest
 
-from lingua_ray.stages.multimodal import (ImageDecoder, _parse_image_dims,
-                                          decode_image)
-
-
-def _webp_lossy(w, h):
-    payload = bytes(3) + b"\x9d\x01\x2a" + struct.pack("<HH", w, h)
-    return b"RIFF" + struct.pack("<I", 4 + 8 + len(payload)) + b"WEBP" \
-        + b"VP8 " + struct.pack("<I", len(payload)) + payload
-
-
-def _webp_lossless(w, h):
-    bits = (w - 1) | ((h - 1) << 14)
-    payload = b"\x2f" + struct.pack("<I", bits) + bytes(1)
-    return b"RIFF" + struct.pack("<I", 4 + 8 + len(payload)) + b"WEBP" \
-        + b"VP8L" + struct.pack("<I", len(payload)) + payload
-
-
-def _webp_extended(w, h):
-    payload = (bytes(4) + (w - 1).to_bytes(3, "little")
-               + (h - 1).to_bytes(3, "little"))
-    return b"RIFF" + struct.pack("<I", 4 + 8 + len(payload)) + b"WEBP" \
-        + b"VP8X" + struct.pack("<I", len(payload)) + payload
-
-
-def _tiff(w, h, little=True):
-    end = "<" if little else ">"
-    magic = b"II*\x00" if little else b"MM\x00*"
-    hdr = magic + struct.pack(f"{end}I", 8)
-    # IFD: 2 entries (256 SHORT w, 257 LONG h)
-    ifd = struct.pack(f"{end}H", 2)
-    ifd += struct.pack(f"{end}HHI", 256, 3, 1) + struct.pack(f"{end}H", w) \
-        + bytes(2)
-    ifd += struct.pack(f"{end}HHI", 257, 4, 1) + struct.pack(f"{end}I", h)
-    ifd += struct.pack(f"{end}I", 0)
-    return hdr + ifd
-
-
-def test_webp_dims_all_variants():
-    assert _parse_image_dims(_webp_lossy(640, 480)) == ("webp", 640, 480)
-    assert _parse_image_dims(_webp_lossless(33, 77)) == ("webp", 33, 77)
-    assert _parse_image_dims(_webp_extended(4096, 2160)) == \
-        ("webp", 4096, 2160)
-
-
-def test_tiff_dims_both_endians():
-    assert _parse_image_dims(_tiff(800, 600, little=True)) == \
-        ("tiff", 800, 600)
-    assert _parse_image_dims(_tiff(123, 45, little=False)) == \
-        ("tiff", 123, 45)
-
-
-def _pgm(w, h, value):
-    return (f"P5 {w} {h} 255\n".encode()
-            + bytes([value]) * (w * h))
-
-
-def _ppm(w, h, rgb):
-    return (f"P6\n# comment\n{w} {h}\n255\n".encode()
-            + bytes(rgb) * (w * h))
-
-
-def _bmp24(w, h, bgr):
-    stride = (w * 3 + 3) & ~3
-    row = bytes(bgr) * w + bytes(stride - w * 3)
-    header = (b"BM" + struct.pack("<IHHI", 54 + stride * h, 0, 0, 54)
-              + struct.pack("<IiiHHIIiiII", 40, w, h, 1, 24, 0,
-                            stride * h, 0, 0, 0, 0))
-    return header + row * h
-
-
-def test_decode_image_real_values():
-    w, h, luma = decode_image(_pgm(7, 3, 128))
-    assert (w, h) == (7, 3) and abs(luma - 128 / 255) < 1e-12
-    # pure green: Rec.601 luma 0.587
-    w, h, luma = decode_image(_ppm(4, 2, (0, 255, 0)))
-    assert (w, h) == (4, 2) and abs(luma - 0.587) < 1e-12
-    # BMP stores BGR: pure red pixel
-    w, h, luma = decode_image(_bmp24(5, 4, (0, 0, 255)))
-    assert (w, h) == (5, 4) and abs(luma - 0.299) < 1e-12
-    # netpbm dims also come out of the header parser
-    assert _parse_image_dims(_pgm(7, 3, 0))[:1] == ("pgm",)
-    assert _parse_image_dims(_ppm(4, 2, (1, 2, 3))) == ("ppm", 4, 2)
-
-
-def test_decode_image_rejects_compressed():
-    assert decode_image(_webp_lossy(10, 10)) is None
-    assert decode_image(b"\x89PNG\r\n\x1a\n" + bytes(32)) is None
-
-
-def test_image_decoder_real_mode():
-    t = pa.table({"payload": pa.array(
-        [_pgm(2, 2, 51), _ppm(1, 1, (255, 255, 255))],
-        type=pa.large_binary())})
-    out = ImageDecoder(real=True)(t)
-    assert out.column("width").to_pylist() == [2, 1]
-    assert out.column("height").to_pylist() == [2, 1]
-    luma = out.column("mean_luma").to_pylist()
-    assert abs(luma[0] - 51 / 255) < 1e-12 and abs(luma[1] - 1.0) < 1e-12
-    # compressed payloads are an explicit dependency boundary
-    bad = pa.table({"payload": pa.array([_webp_lossy(8, 8)],
-                                        type=pa.large_binary())})
-    with pytest.raises(NotImplementedError):
-        ImageDecoder(real=True)(bad)
-
-
-def test_image_decoder_fake_mode_still_deterministic():
-    t = pa.table({"payload": pa.array([b"abc", b"abc", b""],
-                                      type=pa.large_binary())})
-    a = ImageDecoder(real=False)(t)
-    b = ImageDecoder(real=False)(t)
-    assert a.column("width").to_pylist() == b.column("width").to_pylist()
-    assert a.column("mean_luma").to_pylist()[0] == \
-        b.column("mean_luma").to_pylist()[0]
-
-
-# ---------------------------------------------------------------- audio
-
-
-def _wav_pcm16(freq=440.0, dur=0.5, sr=8000, amp=0.5, nch=1):
-    n = int(dur * sr)
-    t = np.arange(n) / sr
-    s = (amp * np.sin(2 * np.pi * freq * t) * 32767).astype("<i2")
-    if nch == 2:
-        s = np.repeat(s, 2)
-    body = s.tobytes()
-    fmt = struct.pack("<HHIIHH", 1, nch, sr, sr * 2 * nch, 2 * nch, 16)
-    return (b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
-            + b"fmt " + struct.pack("<I", 16) + fmt
-            + b"data" + struct.pack("<I", len(body)) + body)
-
-
-def _wav_f32(values, sr=4000):
-    body = np.asarray(values, dtype="<f4").tobytes()
-    fmt = struct.pack("<HHIIHH", 3, 1, sr, sr * 4, 4, 32)
-    return (b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
-            + b"fmt " + struct.pack("<I", 16) + fmt
-            + b"data" + struct.pack("<I", len(body)) + body)
-
-
-def test_decode_wav_pcm16_sine():
-    from lingua_ray.stages.multimodal import decode_wav
-    sr, nch, s = decode_wav(_wav_pcm16(dur=0.25, sr=8000, amp=0.5))
-    assert (sr, nch) == (8000, 1) and len(s) == 2000
-    # sine RMS = amp / sqrt(2)
-    assert abs(np.sqrt((s ** 2).mean()) - 0.5 / np.sqrt(2)) < 1e-3
-
-
-def test_decode_wav_float_and_stereo():
-    from lingua_ray.stages.multimodal import decode_wav
-    sr, nch, s = decode_wav(_wav_f32([0.5, -0.5, 0.5, -0.5]))
-    assert (sr, nch) == (4000, 1)
-    assert np.allclose(s, [0.5, -0.5, 0.5, -0.5])
-    sr, nch, s = decode_wav(_wav_pcm16(nch=2, dur=0.1))
-    assert nch == 2 and len(s) == 2 * int(0.1 * 8000)
-    assert decode_wav(b"ID3\x04" + bytes(64)) is None  # mp3 boundary
-
-
-def test_audio_featurizer_real_mode():
-    from lingua_ray.stages.multimodal import AudioFeaturizer
-    t = pa.table({"payload": pa.array(
-        [_wav_pcm16(dur=0.25, amp=0.5), _wav_f32([1.0, -1.0])],
-        type=pa.large_binary())})
-    out = AudioFeaturizer(real=True)(t)
-    dur = out.column("duration_s").to_pylist()
-    rms = out.column("rms").to_pylist()
-    assert abs(dur[0] - 0.25) < 1e-9 and abs(dur[1] - 2 / 4000) < 1e-12
-    assert abs(rms[0] - 0.5 / np.sqrt(2)) < 1e-3 and abs(rms[1] - 1.0) < 1e-6
-    with pytest.raises(NotImplementedError):
-        AudioFeaturizer(real=True)(pa.table(
-            {"payload": pa.array([b"OggS" + bytes(32)],
-                                 type=pa.large_binary())}))
-
-
-# ---------------------------------------------------------------- video
-
-
-def _gif(delays_cs, w=4, h=4):
-    """Minimal animated GIF: one 2-color global table, each frame a
-    1-byte-per-sub-block dummy LZW stream with its own GCE delay."""
-    out = bytearray(b"GIF89a")
-    out += struct.pack("<HH", w, h) + bytes([0x80, 0, 0])  # GCT flag, 2 colors
-    out += bytes(6)                                        # 2-entry palette
-    for d in delays_cs:
-        out += bytes([0x21, 0xF9, 4, 0]) + struct.pack("<H", d) + bytes([0, 0])
-        out += bytes([0x2C]) + struct.pack("<HHHH", 0, 0, w, h) + bytes([0])
-        out += bytes([2, 2, 0x4C, 0x01, 0])   # LZW min code + 1 sub-block
-    out += bytes([0x3B])
-    return bytes(out)
-
-
-def test_gif_frame_timestamps():
-    from lingua_ray.stages.multimodal import gif_frame_timestamps
-    # 3 frames at 20cs, 30cs, 50cs -> starts at 0, 0.2, 0.5
-    ts = gif_frame_timestamps(_gif([20, 30, 50]))
-    assert ts is not None and np.allclose(ts, [0.0, 0.2, 0.5])
-    # zero delay renders as the browser-conventional 10cs -> 0.1
-    assert np.allclose(gif_frame_timestamps(_gif([0, 0])), [0.0, 0.1])
-    assert gif_frame_timestamps(b"\x00\x00\x00\x18ftypmp42") is None
-    # truncated mid-GCE (ends right after the block-size byte): malformed,
-    # not a crash
-    trunc = b"GIF89a" + bytes([4, 0, 0, 0, 0, 0, 0]) + b"\x21\xf9\x04"
-    assert gif_frame_timestamps(trunc) is None
-
-
-def test_video_frame_sampler_real_mode():
-    from lingua_ray.stages.multimodal import VideoFrameSampler
-    # 10 frames x 0.2s = 2s clip; 1 fps picks the nearest frame per tick
-    clip = _gif([20] * 10)
-    t = pa.table({"payload": pa.array([clip], type=pa.large_binary())})
-    out = VideoFrameSampler(fps=1.0, max_frames=16, real=True)(t)
-    ts = out.column("frame_ts").to_pylist()[0]
-    assert out.column("n_frames").to_pylist() == [len(ts)]
-    assert ts == [0.0, 1.0]  # 2s clip at 1 fps -> ticks 0 and 1
-    cap = VideoFrameSampler(fps=5.0, max_frames=4, real=True)(t)
-    # ticks 0,.2,.4,.6 -> frames 0..3, then the max_frames cap bites
-    assert np.allclose(cap.column("frame_ts").to_pylist()[0],
-                       [0.0, 0.2, 0.4, 0.6])
-    assert cap.column("n_frames").to_pylist() == [4]
-    with pytest.raises(NotImplementedError):
-        VideoFrameSampler(real=True)(pa.table(
-            {"payload": pa.array([b"\x00\x00\x00\x18ftypmp42"],
-                                 type=pa.large_binary())}))
-
-
-# ---- PNG (real stdlib-zlib decode path) ----
-
-def _png_chunk(tag, data):
-    import zlib
-    return (struct.pack(">I", len(data)) + tag + data
-            + struct.pack(">I", zlib.crc32(tag + data)))
-
-
-def _png_filter_forward(img, ftype):
-    """Apply PNG filter ``ftype`` to every scanline of (h, w, ch) uint8."""
-    h, w, ch = img.shape
-    flat = img.reshape(h, w * ch).astype(np.int32)
-    out = []
-    prev = np.zeros(w * ch, dtype=np.int32)
-    for y in range(h):
-        row = flat[y]
-        left = np.zeros_like(row); left[ch:] = row[:-ch]
-        upleft = np.zeros_like(prev); upleft[ch:] = prev[:-ch]
-        if ftype == 0:
-            f = row
-        elif ftype == 1:
-            f = row - left
-        elif ftype == 2:
-            f = row - prev
-        elif ftype == 3:
-            f = row - (left + prev) // 2
-        else:  # Paeth
-            p = left + prev - upleft
-            pa_, pb, pc = (np.abs(p - left), np.abs(p - prev),
-                           np.abs(p - upleft))
-            pred = np.where((pa_ <= pb) & (pa_ <= pc), left,
-                            np.where(pb <= pc, prev, upleft))
-            f = row - pred
-        out.append(bytes([ftype]) + (f % 256).astype(np.uint8).tobytes())
-        prev = row
-    return b"".join(out)
-
-
-def _png(img, ctype, filters=0, plte=None):
-    """Encode (h, w, ch) uint8 into a real PNG; ``filters`` is an int or
-    per-row list of filter types."""
-    import zlib
-    h, w, ch = img.shape
-    if isinstance(filters, int):
-        raw = _png_filter_forward(img, filters)
-    else:
-        rows = [_png_filter_forward(img[y:y + 1], f)
-                for y, f in enumerate(filters)]
-        # re-filter each row against its true predecessor
-        raw = b""
-        prev = np.zeros((1, w, ch), dtype=np.uint8)
-        for y, f in enumerate(filters):
-            two = np.concatenate([prev, img[y:y + 1]])
-            raw += _png_filter_forward(two, f)[1 + w * ch:]
-            prev = img[y:y + 1]
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, ctype, 0, 0, 0)
-    body = _png_chunk(b"IHDR", ihdr)
-    if plte is not None:
-        body += _png_chunk(b"PLTE", plte.astype(np.uint8).tobytes())
-    body += _png_chunk(b"IDAT", zlib.compress(raw))
-    body += _png_chunk(b"IEND", b"")
-    return b"\x89PNG\r\n\x1a\n" + body
-
-
-def _luma(img):  # (h, w, 3) -> Rec.601 mean in [0, 1]
-    return float((img.reshape(-1, 3).astype(np.float64)
-                  @ np.array([0.299, 0.587, 0.114])).mean() / 255.0)
-
-
-def test_png_decode_rgb_all_filters():
-    rng = np.random.RandomState(7)
-    img = rng.randint(0, 256, size=(6, 5, 3), dtype=np.uint8)
-    for f in range(5):
-        got = decode_image(_png(img, 2, filters=f))
-        assert got is not None, f"filter {f}"
-        w, h, luma = got
-        assert (w, h) == (5, 6)
-        assert abs(luma - _luma(img)) < 1e-12, f"filter {f}"
-    # mixed per-row filters
-    w, h, luma = decode_image(_png(img, 2, filters=[0, 1, 2, 3, 4, 2]))
-    assert abs(luma - _luma(img)) < 1e-12
-
-
-def test_png_decode_gray_rgba_palette():
-    rng = np.random.RandomState(11)
-    gray = rng.randint(0, 256, size=(4, 9, 1), dtype=np.uint8)
-    w, h, luma = decode_image(_png(gray, 0, filters=4))
-    assert (w, h) == (9, 4)
-    assert abs(luma - gray.mean() / 255.0) < 1e-12
-    ga = rng.randint(0, 256, size=(3, 3, 2), dtype=np.uint8)
-    assert abs(decode_image(_png(ga, 4))[2]
-               - ga[:, :, 0].mean() / 255.0) < 1e-12
-    rgba = rng.randint(0, 256, size=(5, 2, 4), dtype=np.uint8)
-    assert abs(decode_image(_png(rgba, 6, filters=1))[2]
-               - _luma(rgba[:, :, :3])) < 1e-12
-    plte = rng.randint(0, 256, size=(16, 3), dtype=np.uint8)
-    idx = rng.randint(0, 16, size=(4, 4, 1), dtype=np.uint8)
-    w, h, luma = decode_image(_png(idx, 3, plte=plte))
-    assert (w, h) == (4, 4)
-    assert abs(luma - _luma(plte[idx[:, :, 0]])) < 1e-12
-
-
-def _png_ser_rows(samples, depth):
-    """(h, w, ch) int samples → (h, stride) uint8 serialized scanlines."""
-    h, w, ch = samples.shape
-    if depth == 8:
-        return samples.astype(np.uint8).reshape(h, w * ch)
-    if depth == 16:
-        v = samples.astype(np.uint16)
-        b = np.stack([v >> 8, v & 255], axis=-1).astype(np.uint8)
-        return b.reshape(h, w * ch * 2)
-    vals = samples[:, :, 0].astype(np.uint8)
-    bits = ((vals[:, :, None] >> np.arange(depth - 1, -1, -1)) & 1)
-    return np.packbits(bits.reshape(h, w * depth).astype(np.uint8),
-                       axis=1)
-
-
-def _png_filter_rows(rows, fbpp, filters):
-    """Forward-filter serialized rows at byte level (spec semantics)."""
-    h, stride = rows.shape
-    if isinstance(filters, int):
-        filters = [filters] * h
-    out = b""
-    prev = np.zeros(stride, dtype=np.int32)
-    for y, ft in enumerate(filters):
-        row = rows[y].astype(np.int32)
-        left = np.zeros_like(row); left[fbpp:] = row[:-fbpp]
-        upleft = np.zeros_like(prev); upleft[fbpp:] = prev[:-fbpp]
-        if ft == 0:
-            f = row
-        elif ft == 1:
-            f = row - left
-        elif ft == 2:
-            f = row - prev
-        elif ft == 3:
-            f = row - (left + prev) // 2
-        else:
-            p = left + prev - upleft
-            pa_, pb, pc = (np.abs(p - left), np.abs(p - prev),
-                           np.abs(p - upleft))
-            pred = np.where((pa_ <= pb) & (pa_ <= pc), left,
-                            np.where(pb <= pc, prev, upleft))
-            f = row - pred
-        out += bytes([ft]) + (f % 256).astype(np.uint8).tobytes()
-        prev = row
-    return out
-
-
-_ADAM7 = ((0, 0, 8, 8), (4, 0, 8, 8), (0, 4, 4, 8), (2, 0, 4, 4),
-          (0, 2, 2, 4), (1, 0, 2, 2), (0, 1, 1, 2))
-
-
-def _png_v2(samples, ctype, depth=8, interlace=0, filters=0, plte=None):
-    """Full-featured PNG encoder oracle: any legal depth, Adam7."""
-    import zlib
-    h, w, ch = samples.shape
-    fbpp = max(1, depth * ch // 8)
-    if interlace == 0:
-        raw = _png_filter_rows(_png_ser_rows(samples, depth), fbpp,
-                               filters)
-    else:
-        raw = b""
-        for x0, y0, dx, dy in _ADAM7:
-            sub = samples[y0::dy, x0::dx]
-            if sub.size:
-                raw += _png_filter_rows(_png_ser_rows(sub, depth), fbpp,
-                                        filters)
-    ihdr = struct.pack(">IIBBBBB", w, h, depth, ctype, 0, 0, interlace)
-    body = _png_chunk(b"IHDR", ihdr)
-    if plte is not None:
-        body += _png_chunk(b"PLTE", plte.astype(np.uint8).tobytes())
-    body += _png_chunk(b"IDAT", zlib.compress(raw))
-    body += _png_chunk(b"IEND", b"")
-    return b"\x89PNG\r\n\x1a\n" + body
-
-
-def test_png_16bit_gray_and_rgb():
-    from lingua_ray.stages.multimodal import _decode_png
-
-    rng = np.random.RandomState(23)
-    g16 = rng.randint(0, 65536, size=(5, 7, 1))
-    for f in range(5):
-        got = decode_image(_png_v2(g16, 0, depth=16, filters=f))
-        assert got is not None, f
-        w, h, luma = got
-        assert (w, h) == (7, 5)
-        assert abs(luma - g16.mean() / 65535.0) < 1e-12
-    px = _decode_png(_png_v2(g16, 0, depth=16), pixels=True)
-    assert np.array_equal(px, (g16[:, :, 0] >> 8).astype(np.uint8))
-
-    rgb16 = rng.randint(0, 65536, size=(4, 3, 3))
-    w, h, luma = decode_image(_png_v2(rgb16, 2, depth=16,
-                                      filters=[0, 1, 2, 4]))
-    want = (rgb16.reshape(-1, 3).astype(np.float64)
-            @ np.array([0.299, 0.587, 0.114])).mean() / 65535.0
-    assert abs(luma - want) < 1e-12
-    rgba16 = rng.randint(0, 65536, size=(3, 3, 4))
-    got = decode_image(_png_v2(rgba16, 6, depth=16, filters=3))
-    want = (rgba16[:, :, :3].reshape(-1, 3).astype(np.float64)
-            @ np.array([0.299, 0.587, 0.114])).mean() / 65535.0
-    assert abs(got[2] - want) < 1e-12
-
-
-def test_png_subbyte_gray_and_palette():
-    from lingua_ray.stages.multimodal import _decode_png
-
-    rng = np.random.RandomState(29)
-    for depth in (1, 2, 4):
-        maxv = (1 << depth) - 1
-        # widths that do NOT fill the last byte exercise bit truncation
-        for w in (1, 5, 8, 11):
-            g = rng.randint(0, maxv + 1, size=(3, w, 1))
-            got = decode_image(_png_v2(g, 0, depth=depth))
-            assert got is not None, (depth, w)
-            assert got[:2] == (w, 3)
-            assert abs(got[2] - g.mean() / maxv) < 1e-12
-            px = _decode_png(_png_v2(g, 0, depth=depth), pixels=True)
-            assert np.array_equal(px, (g[:, :, 0] * (255 // maxv))
-                                  .astype(np.uint8))
-        # palette at this depth
-        plte = rng.randint(0, 256, size=(maxv + 1, 3))
-        idx = rng.randint(0, maxv + 1, size=(4, 5, 1))
-        got = decode_image(_png_v2(idx, 3, depth=depth, plte=plte))
-        want = (plte[idx[:, :, 0]].reshape(-1, 3).astype(np.float64)
-                @ np.array([0.299, 0.587, 0.114])).mean() / 255.0
-        assert abs(got[2] - want) < 1e-12
-        px = _decode_png(_png_v2(idx, 3, depth=depth, plte=plte),
-                         pixels=True)
-        assert np.array_equal(px, plte[idx[:, :, 0]].astype(np.uint8))
-
-
-def test_png_adam7_matches_sequential():
-    from lingua_ray.stages.multimodal import _decode_png
-
-    rng = np.random.RandomState(31)
-    # sizes below / at / crossing the 8x8 pass grid, incl. degenerate
-    for h, w in ((1, 1), (2, 3), (7, 5), (8, 8), (9, 13), (16, 17),
-                 (3, 20)):
-        img = rng.randint(0, 256, size=(h, w, 3))
-        seq = _png_v2(img, 2, filters=4)
-        inter = _png_v2(img, 2, interlace=1, filters=2)
-        a, b = decode_image(seq), decode_image(inter)
-        assert a is not None and b is not None, (h, w)
-        assert a == b, (h, w)
-        assert np.array_equal(_decode_png(seq, pixels=True),
-                              _decode_png(inter, pixels=True))
-    # interlaced 16-bit and sub-byte scatter
-    g16 = rng.randint(0, 65536, size=(9, 6, 1))
-    assert decode_image(_png_v2(g16, 0, depth=16, interlace=1)) \
-        == decode_image(_png_v2(g16, 0, depth=16))
-    g4 = rng.randint(0, 16, size=(10, 11, 1))
-    assert decode_image(_png_v2(g4, 0, depth=4, interlace=1)) \
-        == decode_image(_png_v2(g4, 0, depth=4))
-    # gray+alpha interlaced
-    ga = rng.randint(0, 256, size=(6, 9, 2))
-    assert decode_image(_png_v2(ga, 4, interlace=1)) \
-        == decode_image(_png_v2(ga, 4))
-
-
-def test_png_malformed_variants_stay_none():
-    img = np.zeros((2, 2, 3), dtype=np.uint8)
-    good = _png(img, 2)
-    # depth byte forged to 16 without re-encoding: stride doubles, the
-    # stream is now too short → None
-    deep = bytearray(good); deep[24] = 16
-    assert decode_image(bytes(deep)) is None
-    # illegal depth/ctype combo (RGB at depth 2)
-    bad = bytearray(good); bad[24] = 2
-    assert decode_image(bytes(bad)) is None
-    # unknown interlace method
-    inter = bytearray(good); inter[28] = 2
-    assert decode_image(bytes(inter)) is None
-    # truncated IDAT
-    assert decode_image(good[:40]) is None
-    # interlaced stream truncated mid-pass: rebuild with only half the
-    # raw (filtered) pass bytes in the IDAT
-    import zlib
-    rng = np.random.RandomState(2)
-    samples = rng.randint(0, 256, size=(9, 9, 3))
-    raw = b""
-    for x0, y0, dx, dy in _ADAM7:
-        sub = samples[y0::dy, x0::dx]
-        if sub.size:
-            raw += _png_filter_rows(_png_ser_rows(sub, 8), 3, 0)
-    ihdr = struct.pack(">IIBBBBB", 9, 9, 8, 2, 0, 0, 1)
-    rebuilt = (b"\x89PNG\r\n\x1a\n" + _png_chunk(b"IHDR", ihdr)
-               + _png_chunk(b"IDAT", zlib.compress(raw[: len(raw) // 2]))
-               + _png_chunk(b"IEND", b""))
-    assert decode_image(rebuilt) is None
-    # a still-unsupported format keeps the NotImplementedError boundary
-    from lingua_ray.stages.multimodal import ImageDecoder as D
-    tiff = pa.table({"payload": pa.array(
-        [b"II*\x00" + b"\x00" * 60], type=pa.large_binary())})
-    with pytest.raises(NotImplementedError):
-        D(real=True)(tiff)
-
-
-def test_image_decoder_real_mode_png():
-    img = np.full((3, 4, 3), 200, dtype=np.uint8)
-    t = pa.table({"payload": pa.array([_png(img, 2, filters=3)],
-                                      type=pa.large_binary())})
-    out = ImageDecoder(real=True)(t)
-    assert out.column("width").to_pylist() == [4]
-    assert out.column("height").to_pylist() == [3]
-    assert abs(out.column("mean_luma").to_pylist()[0] - 200 / 255.0) < 1e-12
-
-
-def test_png_palette_index_out_of_range_is_none():
-    rng = np.random.RandomState(5)
-    plte = rng.randint(0, 256, size=(4, 3), dtype=np.uint8)
-    idx = np.full((2, 2, 1), 9, dtype=np.uint8)  # only 4 palette entries
-    assert decode_image(_png(idx, 3, plte=plte)) is None
-
-
-# ---------------------------------------------------------------- GIF pixels
-
-def _lzw_encode(indices: bytes, mcs: int) -> bytes:
-    """True greedy GIF-LZW encoder (test oracle for the decoder): LSB-first
-    variable-width codes, CLEAR up front and on dictionary overflow."""
-    clear, end = 1 << mcs, (1 << mcs) + 1
-    out, nbits = 0, 0
-
-    def emit(code, width):
-        nonlocal out, nbits
-        out |= code << nbits
-        nbits += width
-
-    width = mcs + 1
-    table = {bytes([i]): i for i in range(clear)}
-    nxt = end + 1
-    emit(clear, width)
-    seq = b""
-    for px in indices:
-        cand = seq + bytes([px])
-        if cand in table:
-            seq = cand
-            continue
-        # decoder's table lags the encoder's by one entry, so the width
-        # bump happens when nxt EXCEEDS the current code space
-        if nxt > (1 << width) and width < 12:
-            width += 1
-        emit(table[seq], width)
-        table[cand] = nxt
-        nxt += 1
-        seq = bytes([px])
-        if nxt == 4096:
-            if nxt > (1 << width) and width < 12:
-                width += 1
-            emit(clear, width)
-            width = mcs + 1
-            table = {bytes([i]): i for i in range(clear)}
-            nxt = end + 1
-    if seq:
-        if nxt > (1 << width) and width < 12:
-            width += 1
-        emit(table[seq], width)
-        nxt += 1
-    if nxt > (1 << width) and width < 12:
-        width += 1
-    emit(end, width)
-    return out.to_bytes((nbits + 7) // 8, "little")
-
-
-def _gif_pixels(idx, palette, interlace=False, frame=None, bg=0,
-                transparent=None, local_palette=False):
-    """Assemble a single-frame GIF: ``idx`` (h, w) uint8 palette indices,
-    ``palette`` (n, 3); optional interlace, sub-rect frame placement,
-    GCE transparency and local-palette placement."""
-    fh, fw = idx.shape
-    if frame is None:
-        sw, sh, fx, fy = fw, fh, 0, 0
-    else:
-        sw, sh, fx, fy = frame
-    pal = np.zeros((256, 3), dtype=np.uint8)
-    pal[: len(palette)] = palette
-    out = b"GIF89a" + struct.pack("<HH", sw, sh)
-    if local_palette:
-        out += bytes([0x00, bg, 0])            # no global palette
-    else:
-        out += bytes([0x80 | 7, bg, 0]) + pal.tobytes()
-    if transparent is not None:
-        out += bytes([0x21, 0xF9, 4, 0x01, 0, 0, transparent, 0])
-    out += b"\x2C" + struct.pack("<HHHH", fx, fy, fw, fh)
-    out += bytes([(0x80 | 7 if local_palette else 0)
-                  | (0x40 if interlace else 0)])
-    if local_palette:
-        out += pal.tobytes()
-    if interlace:
-        order = np.concatenate([np.arange(0, fh, 8), np.arange(4, fh, 8),
-                                np.arange(2, fh, 4), np.arange(1, fh, 2)])
-        data = idx[order].tobytes()
-    else:
-        data = idx.tobytes()
-    lzw = _lzw_encode(data, 8)
-    out += bytes([8])
-    for i in range(0, len(lzw), 255):
-        chunk = lzw[i:i + 255]
-        out += bytes([len(chunk)]) + chunk
-    return out + b"\x00\x3B"
-
-
-def test_gif_decode_roundtrip_random():
-    rng = np.random.RandomState(3)
-    palette = rng.randint(0, 256, size=(64, 3), dtype=np.uint8)
-    idx = rng.randint(0, 64, size=(32, 32), dtype=np.uint8)
-    w, h, luma = decode_image(_gif_pixels(idx, palette))
-    assert (w, h) == (32, 32)
-    assert abs(luma - _luma(palette[idx])) < 1e-12
-
-
-def test_gif_decode_constant_color_kwkwk():
-    # a constant image exercises the LZW KwKwK (code == table size) path
-    palette = np.array([[10, 20, 30], [200, 100, 50]], dtype=np.uint8)
-    idx = np.ones((16, 16), dtype=np.uint8)
-    w, h, luma = decode_image(_gif_pixels(idx, palette))
-    assert (w, h) == (16, 16)
-    assert abs(luma - _luma(palette[idx])) < 1e-12
-
-
-def test_gif_decode_interlaced_matches_progressive():
-    rng = np.random.RandomState(5)
-    palette = rng.randint(0, 256, size=(32, 3), dtype=np.uint8)
-    idx = rng.randint(0, 32, size=(19, 7), dtype=np.uint8)  # odd height
-    plain = decode_image(_gif_pixels(idx, palette))
-    inter = decode_image(_gif_pixels(idx, palette, interlace=True))
-    assert plain == inter
-    assert abs(plain[2] - _luma(palette[idx])) < 1e-12
-
-
-def test_gif_decode_subframe_transparency_local_palette():
-    palette = np.zeros((4, 3), dtype=np.uint8)
-    palette[1] = [255, 255, 255]   # white
-    palette[2] = [255, 0, 0]       # red
-    palette[3] = [0, 0, 255]       # bg blue
-    idx = np.full((2, 2), 1, dtype=np.uint8)
-    idx[0, 0] = 2                  # transparent slot
-    # 4x4 screen, 2x2 frame at (1,1), bg color 3, index 2 transparent
-    p = _gif_pixels(idx, palette, frame=(4, 4, 1, 1), bg=3, transparent=2)
-    w, h, luma = decode_image(p)
-    assert (w, h) == (4, 4)
-    lw = np.array([0.299, 0.587, 0.114])
-    white, blue = palette[1] @ lw, palette[3] @ lw
-    want = (3 * white + 13 * blue) / 16 / 255.0
-    assert abs(luma - want) < 1e-12
-    # local palette, full frame, no transparency
-    idx2 = np.array([[1, 2], [2, 1]], dtype=np.uint8)
-    got = decode_image(_gif_pixels(idx2, palette, local_palette=True))
-    assert abs(got[2] - _luma(palette[idx2])) < 1e-12
-
-
-def test_gif_decode_rejects_malformed():
-    rng = np.random.RandomState(9)
-    palette = rng.randint(0, 256, size=(8, 3), dtype=np.uint8)
-    idx = rng.randint(0, 8, size=(4, 4), dtype=np.uint8)
-    good = _gif_pixels(idx, palette)
-    assert decode_image(good) is not None
-    # truncated LZW data
-    assert decode_image(good[:-8]) is None
-    # frame overflowing the logical screen
-    bad = _gif_pixels(idx, palette, frame=(3, 3, 2, 2))
-    assert decode_image(bad) is None
-
-
-# ------------------------------------------------------------ JPEG decode
 
 def _jpeg_luma(img: np.ndarray) -> float:
     f = img.astype(np.float64)
@@ -706,7 +15,7 @@ def _jpeg_luma(img: np.ndarray) -> float:
 def test_jpeg_roundtrip_matrix():
     """Encoder-oracle round trip: gray + RGB, 4:4:4 + 4:2:0, with and
     without restart intervals, odd (non-MCU-aligned) sizes."""
-    from lingua_ray.stages.jpeg import encode_jpeg
+    from lingua_ray.stages.jpeg import decode_jpeg, encode_jpeg
 
     rng = np.random.RandomState(0)
     cases = [
@@ -720,7 +29,7 @@ def test_jpeg_roundtrip_matrix():
             for ri in (0, 2):
                 p = encode_jpeg(img, quality=90, subsample=sub,
                                 restart_interval=ri)
-                out = decode_image(p)
+                out = decode_jpeg(p)
                 assert out is not None
                 w, h, luma = out
                 assert (w, h) == (img.shape[1], img.shape[0])
@@ -728,10 +37,10 @@ def test_jpeg_roundtrip_matrix():
 
 
 def test_jpeg_flat_gray_luma_near_exact():
-    from lingua_ray.stages.jpeg import encode_jpeg
+    from lingua_ray.stages.jpeg import decode_jpeg, encode_jpeg
 
     p = encode_jpeg(np.full((16, 16), 200, np.uint8), quality=90)
-    w, h, luma = decode_image(p)
+    w, h, luma = decode_jpeg(p)
     assert (w, h) == (16, 16)
     assert abs(luma - 200 / 255) < 1e-9
 
@@ -747,27 +56,11 @@ def test_jpeg_rejects_out_of_subset():
     # (Ss=0, Se=63) is illegal for a progressive DC scan → None
     prog = good.replace(b"\xff\xc0", b"\xff\xc2", 1)
     assert decode_jpeg(prog) is None
-    # SOF10 forged onto a sequential stream: the full-band SOS
-    # (Ss=0, Se=63) is illegal for a progressive DC scan -> None
-    # (real SOF9/SOF10 are decode paths now - see the arith tests)
+    # arithmetic-coded SOF10 is outside the supported subset -> None
     arith = good.replace(b"\xff\xc0", b"\xff\xca", 1)
     assert decode_jpeg(arith) is None
     # not a JPEG at all
     assert decode_jpeg(b"\x89PNG\r\n\x1a\n") is None
-
-
-def test_image_decoder_real_mode_jpeg():
-    from lingua_ray.stages.jpeg import encode_jpeg
-    from lingua_ray.stages.multimodal import ImageDecoder
-
-    rng = np.random.RandomState(3)
-    img = rng.randint(0, 256, (17, 13, 3)).astype(np.uint8)
-    payload = encode_jpeg(img, quality=85, subsample=True)
-    batch = pa.table({"payload": pa.array([payload], pa.binary())})
-    out = ImageDecoder(real=True)(batch)
-    assert out.column("width")[0].as_py() == 13
-    assert out.column("height")[0].as_py() == 17
-    assert abs(out.column("mean_luma")[0].as_py() - _jpeg_luma(img)) < 0.02
 
 
 def test_jpeg_fuzz_never_raises():
@@ -911,192 +204,6 @@ def test_jpeg_pixels_rejects_out_of_subset():
     assert decode_jpeg_pixels(b"\x89PNG") is None
 
 
-def test_decode_image_pixels_all_formats():
-    """Unified pixel decode: PNG/GIF/JPEG/PNM/BMP must all return the
-    actual pixel array (exact for the lossless formats, near for JPEG),
-    with BMP returned top-down and BGR swapped to RGB."""
-    from lingua_ray.stages.jpeg import encode_jpeg
-    from lingua_ray.stages.multimodal import decode_image_pixels
-
-    rng = np.random.RandomState(13)
-    img = rng.randint(0, 256, (9, 7, 3), dtype=np.uint8)
-    got = decode_image_pixels(_png(img, 2))
-    assert got.shape == (9, 7, 3) and (got == img).all()
-
-    palette = rng.randint(0, 256, (32, 3), dtype=np.uint8)
-    idx = rng.randint(0, 32, (6, 5), dtype=np.uint8)
-    got = decode_image_pixels(_gif_pixels(idx, palette))
-    assert got.shape == (6, 5, 3) and (got == palette[idx]).all()
-
-    flat = np.empty((10, 12, 3), np.uint8)
-    flat[:] = (30, 200, 120)
-    got = decode_image_pixels(encode_jpeg(flat, quality=90))
-    assert got.shape == (10, 12, 3)
-    assert np.abs(got.astype(int) - flat.astype(int)).max() <= 6
-
-    got = decode_image_pixels(_ppm(3, 2, (10, 20, 30)))
-    assert got.shape == (2, 3, 3) and (got == [10, 20, 30]).all()
-    got = decode_image_pixels(_pgm(4, 3, 77))
-    assert got.shape == (3, 4) and (got == 77).all()
-
-    got = decode_image_pixels(_bmp24(2, 2, (5, 6, 7)))  # bgr input
-    assert got.shape == (2, 2, 3) and (got == [7, 6, 5]).all()
-
-    assert decode_image_pixels(_webp_lossy(8, 8)) is None
-    assert decode_image_pixels(b"") is None
-
-
-def test_image_decoder_rgb_stats_mode():
-    """rgb_stats=True adds channel means derived from the full pixel
-    decode — exact for lossless payloads, and r=g=b for grayscale."""
-    from lingua_ray.stages.multimodal import ImageDecoder
-
-    rng = np.random.RandomState(21)
-    img = rng.randint(0, 256, (8, 6, 3), dtype=np.uint8)
-    t = pa.table({"payload": pa.array(
-        [_png(img, 2), _pgm(2, 2, 51)], type=pa.large_binary())})
-    out = ImageDecoder(real=True, rgb_stats=True)(t)
-    assert out.column("width").to_pylist() == [6, 2]
-    means = img.reshape(-1, 3).mean(axis=0) / 255.0
-    for j, name in enumerate(("mean_r", "mean_g", "mean_b")):
-        vals = out.column(name).to_pylist()
-        assert abs(vals[0] - means[j]) < 1e-12
-        assert abs(vals[1] - 51 / 255) < 1e-12
-    luma = out.column("mean_luma").to_pylist()
-    assert abs(luma[0] - _luma(img)) < 1e-12
-    # fake mode stays deterministic and gains the same columns
-    fake = ImageDecoder(real=False, rgb_stats=True)(t)
-    fake2 = ImageDecoder(real=False, rgb_stats=True)(t)
-    assert fake.column("mean_r").to_pylist() == \
-        fake2.column("mean_r").to_pylist()
-
-
-def _wav_container(tag, nch, sr, bits, block_align, data):
-    import struct
-    fmt = struct.pack("<HHIIHH", tag, nch, sr,
-                      sr * block_align, block_align, bits)
-    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    chunks += b"data" + struct.pack("<I", len(data)) + data
-    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
-
-
-def test_wav_g711_expansion_anchors_and_roundtrip():
-    """µ-law / A-law: canonical anchor values from G.711 (µ-law full
-    scale 32124, A-law full scale 32256, min step 8), idempotence over
-    every code point, and nearest-code round-trip within the local
-    quantization gap."""
-    from lingua_ray.stages.multimodal import (_alaw_expand, _mulaw_expand,
-                                              decode_wav)
-
-    codes = np.arange(256, dtype=np.int64)
-    mu, al = _mulaw_expand(codes), _alaw_expand(codes)
-    assert mu.max() == 32124 and mu.min() == -32124
-    assert int(mu[0xFF]) == 0 and int(mu[0x7F]) == 0
-    assert al.max() == 32256 and al.min() == -32256
-    assert np.abs(al).min() == 8              # A-law has no zero level
-    # nearest-code compressor as the independent oracle
-    rng = np.random.RandomState(3)
-    x = rng.randint(-32768, 32768, 400).astype(np.int64)
-    for table, tag in ((mu, 7), (al, 6)):
-        enc = np.abs(x[:, None] - table[None, :]).argmin(axis=1)
-        dec = table[enc]
-        gap = np.abs(x - dec)
-        # error bounded by the largest step at that magnitude (~1/16th)
-        assert (gap <= np.maximum(np.abs(x) // 14, 16)).all()
-        sr, nch, s = decode_wav(_wav_container(
-            tag, 1, 8000, 8, 1, enc.astype(np.uint8).tobytes()))
-        assert sr == 8000 and nch == 1
-        assert np.allclose(s * 32768.0, dec)
-        # idempotence: decoded levels re-encode to themselves
-        enc2 = np.abs(dec[:, None] - table[None, :]).argmin(axis=1)
-        assert (table[enc2] == dec).all()
-
-
-def _ima_encode(samples, nch, block_align):
-    """Independent IMA ADPCM encoder (standard quantizer); predictor
-    tracking reuses the module's decode step so encoder quantization
-    choices — the part under test — stay independent."""
-    from lingua_ray.stages.multimodal import _IMA_STEPS, _ima_step
-
-    spb = (block_align - 4 * nch) * 2 // nch
-    x = samples.reshape(-1, nch)
-    n_blocks = len(x) // (spb + 1)
-    out = bytearray()
-    # step index carries across blocks via the header; start mid-table
-    # so the first block isn't dominated by the adaptation ramp (real
-    # encoders pick the block's initial index to match the signal)
-    run_idx = [60] * nch
-    for b in range(n_blocks):
-        blk = x[b * (spb + 1):(b + 1) * (spb + 1)]
-        nibs = [[] for _ in range(nch)]
-        for c in range(nch):
-            pred, idx = int(blk[0, c]), run_idx[c]
-            out += int(pred & 0xFFFF).to_bytes(2, "little")
-            out += bytes([idx, 0])
-            p, i = np.array([pred]), np.array([idx])
-            for t in range(1, spb + 1):
-                step = int(_IMA_STEPS[i[0]])
-                diff = int(blk[t, c]) - int(p[0])
-                nib = 8 if diff < 0 else 0
-                diff = abs(diff)
-                if diff >= step:
-                    nib |= 4
-                    diff -= step
-                if diff >= step >> 1:
-                    nib |= 2
-                    diff -= step >> 1
-                if diff >= step >> 2:
-                    nib |= 1
-                p, i = _ima_step(p, i, np.array([nib]))
-                nibs[c].append(nib)
-            run_idx[c] = int(i[0])
-        for g in range(spb // 8):
-            for c in range(nch):
-                for k in range(4):
-                    lo = nibs[c][g * 8 + 2 * k]
-                    hi = nibs[c][g * 8 + 2 * k + 1]
-                    out.append(lo | (hi << 4))
-    return bytes(out)
-
-
-@pytest.mark.parametrize("nch", [1, 2])
-def test_wav_ima_adpcm_sine_roundtrip(nch):
-    from lingua_ray.stages.multimodal import decode_wav
-
-    block_align = 72 * nch                    # spb = 64 * 2 ... per chan
-    spb = (block_align - 4 * nch) * 2 // nch
-    n = 3 * (spb + 1)                         # 3 full blocks
-    t = np.arange(n)
-    chans = [np.round(20000 * np.sin(2 * np.pi * (220 * (c + 1)) * t
-                                     / 8000)).astype(np.int64)
-             for c in range(nch)]
-    x = np.stack(chans, axis=-1).reshape(-1)
-    data = _ima_encode(x, nch, block_align)
-    sr, ch, s = decode_wav(_wav_container(0x11, nch, 8000, 4,
-                                          block_align, data))
-    assert (sr, ch) == (8000, nch)
-    y = s * 32768.0
-    assert len(y) == n * nch
-    err = x - y
-    snr = 10 * np.log10((x.astype(np.float64) ** 2).mean()
-                        / max((err ** 2).mean(), 1e-9))
-    assert snr > 25, snr
-
-
-def test_wav_ima_adpcm_malformed():
-    from lingua_ray.stages.multimodal import decode_wav
-
-    assert decode_wav(_wav_container(0x11, 1, 8000, 4, 2, b"\0" * 8)) \
-        is None                               # block < header
-    assert decode_wav(_wav_container(0x11, 1, 8000, 4, 8, b"")) is None
-    # mp3-ish tag stays the documented boundary
-    assert decode_wav(_wav_container(0x55, 1, 8000, 0, 1, b"x" * 8)) \
-        is None
-
-
-# ------------------------------------------------- progressive JPEG (§G.2)
-
-
 def test_jpeg_progressive_matches_sequential_matrix():
     """The progressive encoder-oracle emits a 9-scan SOF2 stream
     (spectral selection + two successive-approximation levels, EOB
@@ -1173,903 +280,6 @@ def test_jpeg_progressive_truncation_returns_none():
     assert decode_jpeg(prog[:-1]) is None      # EOI clipped
 
 
-def test_jpeg_progressive_via_decode_image_and_actor():
-    from lingua_ray.stages.jpeg import encode_jpeg
-    from lingua_ray.stages.multimodal import ImageDecoder, decode_image
-
-    rng = np.random.RandomState(21)
-    img = (rng.randint(0, 256, (20, 28, 3)) * 0.4 + 80).astype(np.uint8)
-    prog = encode_jpeg(img, quality=85, subsample=True, progressive=True)
-    out = decode_image(prog)
-    assert out is not None and out[:2] == (28, 20)
-    batch = pa.table({"payload": pa.array([prog], pa.binary())})
-    t = ImageDecoder(real=True)(batch)
-    assert t.column("width")[0].as_py() == 28
-    assert t.column("height")[0].as_py() == 20
-
-
-# ------------------------------------------------------------- MJPEG AVI
-
-
-def _riff_chunk(tag, data):
-    return (tag + struct.pack("<I", len(data)) + data
-            + (b"\0" if len(data) & 1 else b""))
-
-
-def _riff_list(ltype, payload):
-    return _riff_chunk(b"LIST", ltype + payload)
-
-
-def _avi(frames, w, h, scale=1, rate=25, handler=b"MJPG",
-         us_per_frame=40_000):
-    """Minimal-but-real AVI writer (test oracle): RIFF('AVI ') with
-    hdrl(avih + strl(strh/strf)) and movi('00dc' frame chunks)."""
-    avih = struct.pack("<10I", us_per_frame, 0, 0, 0, len(frames),
-                       0, 1, 0, w, h) + b"\0" * 16
-    strh = (b"vids" + handler
-            + struct.pack("<IHHIIIIIIII", 0, 0, 0, 0, scale, rate,
-                          0, len(frames), 0, 0, 0)
-            + struct.pack("<4H", 0, 0, w, h))
-    strf = struct.pack("<IiiHHIIiiII", 40, w, h, 1, 24, 0,
-                       w * h * 3, 0, 0, 0, 0)
-    hdrl = _riff_list(b"hdrl", _riff_chunk(b"avih", avih)
-                      + _riff_list(b"strl", _riff_chunk(b"strh", strh)
-                                   + _riff_chunk(b"strf", strf)))
-    movi = _riff_list(b"movi", b"".join(_riff_chunk(b"00dc", f)
-                                        for f in frames))
-    body = b"AVI " + hdrl + movi
-    return b"RIFF" + struct.pack("<I", len(body)) + body
-
-
-def _mjpeg_frames(n, w, h, seed=0):
-    from lingua_ray.stages.jpeg import encode_jpeg
-
-    rng = np.random.RandomState(seed)
-    imgs = [(rng.randint(0, 256, (h, w, 3)) * 0.3 + 40 * i)
-            .clip(0, 255).astype(np.uint8) for i in range(n)]
-    return imgs, [encode_jpeg(im, quality=85) for im in imgs]
-
-
-def test_avi_parse_and_timestamps():
-    from lingua_ray.stages.multimodal import avi_frame_timestamps, parse_avi
-
-    _, frames = _mjpeg_frames(5, 16, 8)
-    p = _avi(frames, 16, 8, scale=1, rate=10)
-    info = parse_avi(p)
-    assert info["width"] == 16 and info["height"] == 8
-    assert info["handler"] == b"MJPG" and len(info["frames"]) == 5
-    assert avi_frame_timestamps(p) == [i * 0.1 for i in range(5)]
-    # strh without a rate falls back to avih's dwMicroSecPerFrame
-    p2 = _avi(frames, 16, 8, scale=0, rate=0, us_per_frame=500_000)
-    assert avi_frame_timestamps(p2) == [i * 0.5 for i in range(5)]
-    # malformed / non-AVI
-    assert parse_avi(p[:40]) is None
-    assert parse_avi(b"RIFF\x04\x00\x00\x00WAVE") is None
-    assert parse_avi(b"") is None
-
-
-def test_video_sampler_avi_real_and_decode_stats():
-    from lingua_ray.stages.multimodal import VideoFrameSampler
-
-    imgs, frames = _mjpeg_frames(6, 24, 16, seed=3)
-    p = _avi(frames, 24, 16, scale=1, rate=2)         # 0.5 s per frame
-    batch = pa.table({"payload": pa.array([p], pa.large_binary())})
-    out = VideoFrameSampler(fps=2.0, max_frames=100, real=True)(batch)
-    # fps=2 ticks land exactly on the 0.5 s frame grid -> all 6 frames
-    assert out.column("n_frames")[0].as_py() == 6
-    assert out.column("frame_ts")[0].as_py() == [i * 0.5 for i in range(6)]
-
-    out = VideoFrameSampler(fps=2.0, max_frames=100, real=True,
-                            decode_stats=True)(batch)
-    got = out.column("frame_mean_luma")[0].as_py()
-    assert len(got) == 6
-    for luma, im in zip(got, imgs):
-        want = float((im.reshape(-1, 3).astype(np.float64)
-                      @ np.array([0.299, 0.587, 0.114])).mean()) / 255.0
-        assert abs(luma - want) < 0.02
-
-
-def test_video_sampler_avi_boundaries():
-    from lingua_ray.stages.multimodal import VideoFrameSampler
-
-    # non-MJPEG stream: timeline still parses, pixel decode refuses
-    p = _avi([b"\x00" * 64] * 3, 8, 8, handler=b"DIB ")
-    batch = pa.table({"payload": pa.array([p], pa.large_binary())})
-    out = VideoFrameSampler(fps=30.0, real=True)(batch)
-    assert out.column("n_frames")[0].as_py() >= 1
-    with pytest.raises(NotImplementedError):
-        VideoFrameSampler(fps=30.0, real=True, decode_stats=True)(batch)
-    # a moov-less mp4 fragment stays the documented boundary
-    mp4 = pa.table({"payload": pa.array(
-        [b"\x00\x00\x00\x18ftypmp42" + b"\0" * 32], pa.large_binary())})
-    with pytest.raises(NotImplementedError):
-        VideoFrameSampler(real=True)(mp4)
-
-
-# ------------------------------------------------------------- MJPEG MP4
-
-
-def _box(typ, payload):
-    return struct.pack(">I", len(payload) + 8) + typ + payload
-
-
-def _full(typ, payload, ver=0):
-    return _box(typ, bytes([ver]) + b"\0\0\0" + payload)
-
-
-def _mp4(frames, stts_entries, timescale=1000, codec=b"jpeg",
-         co64=False, chunked=False):
-    """Minimal-but-real ISO-BMFF writer (test oracle): ftyp + mdat +
-    moov(trak(mdia(hdlr/mdhd/minf(stbl(stsd stts stsc stsz stco))))).
-    ``stts_entries``: [(count, delta), ...]."""
-    ftyp = _box(b"ftyp", b"isom\x00\x00\x02\x00isomiso2")
-    mdat = _box(b"mdat", b"".join(frames))
-    base = len(ftyp) + 8
-    n = len(frames)
-    stts = _full(b"stts", struct.pack(">I", len(stts_entries))
-                 + b"".join(struct.pack(">II", c, d)
-                            for c, d in stts_entries))
-    entry = struct.pack(">I", 86) + codec + b"\0" * 78
-    stsd = _full(b"stsd", struct.pack(">I", 1) + entry)
-    stsz = _full(b"stsz", struct.pack(">II", 0, n)
-                 + b"".join(struct.pack(">I", len(f)) for f in frames))
-    if chunked:  # two chunks: 2 samples then the rest
-        stsc = _full(b"stsc", struct.pack(">I", 2)
-                     + struct.pack(">III", 1, 2, 1)
-                     + struct.pack(">III", 2, n - 2, 1))
-        offs = [base, base + sum(len(f) for f in frames[:2])]
-    else:
-        stsc = _full(b"stsc", struct.pack(">I", 1)
-                     + struct.pack(">III", 1, n, 1))
-        offs = [base]
-    if co64:
-        stco = _full(b"co64", struct.pack(">I", len(offs))
-                     + b"".join(struct.pack(">Q", o) for o in offs))
-    else:
-        stco = _full(b"stco", struct.pack(">I", len(offs))
-                     + b"".join(struct.pack(">I", o) for o in offs))
-    stbl = _box(b"stbl", stsd + stts + stsc + stsz + stco)
-    minf = _box(b"minf", stbl)
-    hdlr = _full(b"hdlr", b"\0" * 4 + b"vide" + b"\0" * 13)
-    mdhd = _full(b"mdhd", struct.pack(">IIIIHH", 0, 0, timescale, 0,
-                                      0x55C4, 0))
-    mdia = _box(b"mdia", mdhd + hdlr + minf)
-    trak = _box(b"trak", mdia)
-    moov = _box(b"moov", trak)
-    return ftyp + mdat + moov
-
-
-def test_mp4_parse_and_timestamps():
-    from lingua_ray.stages.multimodal import mp4_frame_timestamps, parse_mp4
-
-    _, frames = _mjpeg_frames(5, 16, 8)
-    # non-uniform stts: 3 frames at 100 ticks, 2 at 300 (timescale 1000)
-    p = _mp4(frames, [(3, 100), (2, 300)])
-    info = parse_mp4(p)
-    assert info["timescale"] == 1000 and info["codec"] == b"jpeg"
-    assert info["timestamps"] == [0.0, 0.1, 0.2, 0.3, 0.6]
-    # frame spans point at the actual JPEG bytes
-    for (off, ln), f in zip(info["frames"], frames):
-        assert p[off:off + ln] == f
-    assert mp4_frame_timestamps(p) == info["timestamps"]
-    # co64 and multi-chunk stsc variants resolve the same spans
-    for kw in ({"co64": True}, {"chunked": True}):
-        q = _mp4(frames, [(5, 200)], **kw)
-        qi = parse_mp4(q)
-        for (off, ln), f in zip(qi["frames"], frames):
-            assert q[off:off + ln] == f
-    # malformed / non-mp4
-    assert parse_mp4(b"") is None
-    assert parse_mp4(b"\x00\x00\x00\x18ftypmp42" + b"\0" * 16) is None
-    assert parse_mp4(p[: len(p) // 2]) is None
-
-
-def test_mp4_sample_frames_decode():
-    from lingua_ray.stages.multimodal import mp4_sample_frames
-
-    imgs, frames = _mjpeg_frames(4, 24, 16, seed=9)
-    p = _mp4(frames, [(4, 500)])  # 0.5 s per frame
-    got = mp4_sample_frames(p, [0.0, 1.0])
-    assert len(got) == 2
-    for px, im in zip(got, (imgs[0], imgs[2])):
-        assert px.shape == im.shape
-        assert abs(float(px.mean()) - float(im.mean())) < 6.0
-    # avc1 track: timestamps fine, pixel decode refuses
-    q = _mp4(frames, [(4, 500)], codec=b"avc1")
-    assert mp4_sample_frames(q, [0.0]) is None
-
-
-def test_video_sampler_mp4_real_and_decode_stats():
-    from lingua_ray.stages.multimodal import VideoFrameSampler
-
-    imgs, frames = _mjpeg_frames(6, 24, 16, seed=5)
-    p = _mp4(frames, [(6, 500)])                      # 0.5 s per frame
-    batch = pa.table({"payload": pa.array([p], pa.large_binary())})
-    out = VideoFrameSampler(fps=2.0, max_frames=100, real=True)(batch)
-    assert out.column("n_frames")[0].as_py() == 6
-    assert out.column("frame_ts")[0].as_py() == [i * 0.5 for i in range(6)]
-
-    out = VideoFrameSampler(fps=2.0, max_frames=100, real=True,
-                            decode_stats=True)(batch)
-    got = out.column("frame_mean_luma")[0].as_py()
-    assert len(got) == 6
-    for luma, im in zip(got, imgs):
-        want = float((im.reshape(-1, 3).astype(np.float64)
-                      @ np.array([0.299, 0.587, 0.114])).mean()) / 255.0
-        assert abs(luma - want) < 0.02
-    # avc1: timeline parses, frame decode raises
-    q = _mp4(frames, [(6, 500)], codec=b"avc1")
-    qb = pa.table({"payload": pa.array([q], pa.large_binary())})
-    assert VideoFrameSampler(fps=2.0, real=True)(qb) \
-        .column("n_frames")[0].as_py() == 6
-    with pytest.raises(NotImplementedError):
-        VideoFrameSampler(fps=2.0, real=True, decode_stats=True)(qb)
-
-
-# ------------------------------------------------- audio metadata walks
-
-
-def _mp3_frame(ver=3, layer=1, br_i=9, sr_i=0, pad=0, mode=0):
-    """One valid MPEG-audio frame: 4-byte header + dummy payload of the
-    exact computed frame length (header math is what's under test)."""
-    h = (0x7FF << 21) | (ver << 19) | (layer << 17) | (1 << 16) \
-        | (br_i << 12) | (sr_i << 10) | (pad << 9) | (mode << 6)
-    rates = {3: (44100, 48000, 32000), 2: (22050, 24000, 16000),
-             0: (11025, 12000, 8000)}
-    from lingua_ray.stages.multimodal import _MP3_BITRATE
-    key = (3, layer) if ver == 3 else (2, 3 if layer == 3 else 2)
-    kbps = _MP3_BITRATE[key][br_i]
-    sr = rates[ver][sr_i]
-    br = kbps * 1000
-    if layer == 3:
-        flen = (12 * br // sr + pad) * 4
-    elif layer == 2 or ver == 3:
-        flen = 144 * br // sr + pad
-    else:
-        flen = 72 * br // sr + pad
-    return h.to_bytes(4, "big") + b"\xA5" * (flen - 4)
-
-
-def test_mp3_duration_walk():
-    from lingua_ray.stages.multimodal import mp3_duration
-
-    # 10 MPEG1 Layer III frames at 44100: 10 * 1152 samples
-    p = b"".join(_mp3_frame() for _ in range(10))
-    sr, nch, dur = mp3_duration(p)
-    assert (sr, nch) == (44100, 2)
-    assert dur == pytest.approx(10 * 1152 / 44100)
-    # ID3v2 tag skipped; mono flag honored; VBR mix sums exactly
-    tag = b"ID3\x03\x00\x00\x00\x00\x00\x0a" + b"\0" * 10
-    p2 = tag + b"".join(_mp3_frame(br_i=b, mode=3, pad=i % 2)
-                        for i, b in enumerate((5, 9, 12, 7)))
-    sr, nch, dur = mp3_duration(p2)
-    assert (sr, nch) == (44100, 1)
-    assert dur == pytest.approx(4 * 1152 / 44100)
-    # MPEG2 Layer III: 576 samples per frame
-    p3 = b"".join(_mp3_frame(ver=2, sr_i=1) for _ in range(6))
-    sr, _, dur = mp3_duration(p3)
-    assert sr == 24000 and dur == pytest.approx(6 * 576 / 24000)
-    # Layer I framing
-    p4 = b"".join(_mp3_frame(layer=3) for _ in range(8))
-    _, _, dur = mp3_duration(p4)
-    assert dur == pytest.approx(8 * 384 / 44100)
-    assert mp3_duration(b"\x00" * 64) is None
-
-
-def _ogg_page(body, gran, first=False, serial=7):
-    segs = []
-    n = len(body)
-    while n >= 255:
-        segs.append(255)
-        n -= 255
-    segs.append(n)
-    return (b"OggS\x00" + (b"\x02" if first else b"\x00")
-            + gran.to_bytes(8, "little", signed=True)
-            + serial.to_bytes(4, "little") + b"\0" * 8
-            + bytes([len(segs)]) + bytes(segs) + body)
-
-
-def test_ogg_duration_walk():
-    from lingua_ray.stages.multimodal import ogg_duration
-
-    vorbis_id = (b"\x01vorbis" + b"\0\0\0\0" + bytes([2])
-                 + (44100).to_bytes(4, "little") + b"\0" * 16)
-    p = (_ogg_page(vorbis_id, 0, first=True)
-         + _ogg_page(b"\xAA" * 300, 44100)
-         + _ogg_page(b"\xBB" * 10, 88200))
-    assert ogg_duration(p) == (44100, 2, 2.0)
-
-    opus_id = (b"OpusHead\x01" + bytes([1]) + (312).to_bytes(2, "little")
-               + (48000).to_bytes(4, "little") + b"\0" * 3)
-    q = (_ogg_page(opus_id, 0, first=True)
-         + _ogg_page(b"\xCC" * 100, 96000 + 312))
-    sr, nch, dur = ogg_duration(q)
-    assert (sr, nch) == (48000, 1) and dur == pytest.approx(2.0)
-
-    assert ogg_duration(b"OggS" + b"\0" * 10) is None
-    assert ogg_duration(b"\x00" * 64) is None
-
-
-def test_audio_meta_batch_formats():
-    from lingua_ray.stages.flac import encode_flac
-    from lingua_ray.stages.multimodal import audio_meta_batch
-
-    sine = np.round(0.4 * 32767 * np.sin(
-        2 * np.pi * 440 * np.arange(8000) / 8000)).astype(np.int64)
-    payloads = [
-        _wav_pcm16(dur=0.5, sr=8000),
-        encode_flac(sine, 8000),
-        b"".join(_mp3_frame() for _ in range(5)),
-        _ogg_page(b"\x01vorbis" + b"\0\0\0\0" + bytes([1])
-                  + (16000).to_bytes(4, "little") + b"\0" * 16, 0,
-                  first=True) + _ogg_page(b"\xAA" * 50, 8000),
-        b"not audio at all",
-    ]
-    batch = pa.table({"payload": pa.array(payloads, pa.large_binary())})
-    out = audio_meta_batch(batch)
-    assert out.column("format").to_pylist() == [
-        "wav", "flac", "mp3", "ogg", None]
-    assert out.column("sample_rate").to_pylist() == [
-        8000, 8000, 44100, 16000, -1]
-    durs = out.column("duration_s").to_pylist()
-    assert durs[0] == pytest.approx(0.5)
-    assert durs[1] == pytest.approx(1.0)
-    assert durs[2] == pytest.approx(5 * 1152 / 44100)
-    assert durs[3] == pytest.approx(0.5)
-    assert np.isnan(durs[4])
-
-
-# ------------------------------------------------------------- MJPEG MKV
-
-
-def _evint(v, ln=None):
-    """EBML vint with the length marker, minimal width by default."""
-    if ln is None:
-        ln = 1
-        while v >= (1 << (7 * ln)) - 1:
-            ln += 1
-    return (v | (1 << (7 * ln))).to_bytes(ln, "big")
-
-
-def _eel(eid, body):
-    """One EBML element: raw ID bytes + size vint + body."""
-    return bytes.fromhex(eid) + _evint(len(body)) + body
-
-
-def _euint(v):
-    return v.to_bytes(max(1, (v.bit_length() + 7) // 8), "big")
-
-
-def _mkv(frames, dts_ms, codec=b"V_MJPEG", track=1, scale=None):
-    """Minimal-but-real Matroska writer (test oracle): EBML header +
-    Segment(Info(TimestampScale) Tracks(TrackEntry) Cluster(Timestamp
-    SimpleBlocks)).  ``dts_ms``: block timestamps in ms (default
-    TimestampScale)."""
-    ebml = _eel("1a45dfa3", _eel("4282", b"matroska"))
-    info = _eel("1549a966",
-                _eel("2ad7b1", _euint(scale)) if scale else b"")
-    entry = (_eel("d7", _euint(track)) + _eel("83", b"\x01")
-             + _eel("86", codec))
-    tracks = _eel("1654ae6b", _eel("ae", entry))
-    cluster_body = _eel("e7", _euint(0))
-    for f, t in zip(frames, dts_ms):
-        blk = _evint(track) + int(t).to_bytes(2, "big") + b"\x00" + f
-        cluster_body += _eel("a3", blk)
-    segment = _eel("18538067", info + tracks + _eel("1f43b675",
-                                                    cluster_body))
-    return ebml + segment
-
-
-def test_mkv_parse_and_timestamps():
-    from lingua_ray.stages.multimodal import mkv_frame_timestamps, parse_mkv
-
-    _, frames = _mjpeg_frames(4, 16, 8)
-    p = _mkv(frames, [0, 40, 80, 120])
-    info = parse_mkv(p)
-    assert info["codec"] == "V_MJPEG"
-    assert info["timestamps"] == pytest.approx([0.0, 0.04, 0.08, 0.12])
-    for (off, ln), f in zip(info["frames"], frames):
-        assert p[off:off + ln] == f
-    assert mkv_frame_timestamps(p) == info["timestamps"]
-    # explicit TimestampScale (0.5 ms ticks)
-    q = _mkv(frames, [0, 100], scale=500_000)
-    assert parse_mkv(q)["timestamps"][:2] == pytest.approx([0.0, 0.05])
-    # malformed / non-mkv
-    assert parse_mkv(b"") is None
-    assert parse_mkv(b"\x1aE\xdf\xa3") is None
-    assert parse_mkv(b"RIFF" + b"\0" * 32) is None
-
-
-def test_mkv_sample_frames_and_sampler():
-    from lingua_ray.stages.multimodal import (VideoFrameSampler,
-                                              mkv_sample_frames)
-
-    imgs, frames = _mjpeg_frames(6, 24, 16, seed=11)
-    p = _mkv(frames, [i * 500 for i in range(6)])     # 0.5 s per frame
-    got = mkv_sample_frames(p, [0.0, 1.0])
-    assert len(got) == 2 and got[0].shape == imgs[0].shape
-
-    batch = pa.table({"payload": pa.array([p], pa.large_binary())})
-    out = VideoFrameSampler(fps=2.0, max_frames=100, real=True,
-                            decode_stats=True)(batch)
-    assert out.column("n_frames")[0].as_py() == 6
-    got = out.column("frame_mean_luma")[0].as_py()
-    for luma, im in zip(got, imgs):
-        want = float((im.reshape(-1, 3).astype(np.float64)
-                      @ np.array([0.299, 0.587, 0.114])).mean()) / 255.0
-        assert abs(luma - want) < 0.02
-    # VP9 track: timeline parses, frame decode raises
-    q = _mkv(frames, [i * 500 for i in range(6)], codec=b"V_VP9")
-    qb = pa.table({"payload": pa.array([q], pa.large_binary())})
-    assert VideoFrameSampler(fps=2.0, real=True)(qb) \
-        .column("n_frames")[0].as_py() == 6
-    with pytest.raises(NotImplementedError):
-        VideoFrameSampler(fps=2.0, real=True, decode_stats=True)(qb)
-
-
-# --------------------------------------------- arithmetic-coded JPEG
-
-
-def test_arith_jpeg_identical_to_huffman():
-    """SOF9 and SOF0 share FDCT/quant, so their decodes must be
-    bit-identical — the strongest possible oracle for the QM coder."""
-    from lingua_ray.stages.jpeg import decode_jpeg_pixels, encode_jpeg
-    from lingua_ray.stages.jpeg_arith import encode_jpeg_arith
-
-    rng = np.random.RandomState(42)
-    cases = [
-        (rng.randint(0, 256, (16, 16)).astype(np.uint8), {}),
-        (rng.randint(0, 256, (21, 13)).astype(np.uint8), {"quality": 40}),
-        (np.array([[99]], np.uint8), {}),
-        (np.full((16, 16), 200, np.uint8), {}),
-        (rng.randint(0, 256, (16, 16, 3)).astype(np.uint8), {}),
-        (rng.randint(0, 256, (24, 24, 3)).astype(np.uint8),
-         {"subsample": True}),
-        (rng.randint(0, 256, (19, 13, 3)).astype(np.uint8),
-         {"subsample": True, "quality": 95}),
-        (rng.randint(0, 256, (40, 40)).astype(np.uint8),
-         {"restart_interval": 1}),
-        (rng.randint(0, 256, (32, 24, 3)).astype(np.uint8),
-         {"restart_interval": 3}),
-    ]
-    for img, kw in cases:
-        ph = decode_jpeg_pixels(encode_jpeg(
-            img, quality=kw.get("quality", 85),
-            subsample=kw.get("subsample", False),
-            restart_interval=kw.get("restart_interval", 0)))
-        pa_ = decode_jpeg_pixels(encode_jpeg_arith(img, **kw))
-        assert pa_ is not None, (img.shape, kw)
-        np.testing.assert_array_equal(ph, pa_)
-
-
-def test_arith_jpeg_mean_luma_and_size():
-    from lingua_ray.stages.jpeg import decode_jpeg, encode_jpeg
-    from lingua_ray.stages.jpeg_arith import encode_jpeg_arith
-
-    rng = np.random.RandomState(5)
-    img = (rng.randint(0, 256, (32, 32)).astype(np.float64) * 0.3
-           + 90).astype(np.uint8)
-    pa_ = encode_jpeg_arith(img, quality=90)
-    w, h, luma = decode_jpeg(pa_)
-    assert (w, h) == (32, 32)
-    assert abs(luma - float(img.mean()) / 255.0) < 0.02
-    # adaptive contexts beat fixed Huffman tables on small images
-    assert len(pa_) < len(encode_jpeg(img, quality=90))
-
-
-def test_arith_jpeg_conditioning_and_qm_fuzz():
-    from lingua_ray.stages.jpeg import decode_jpeg_pixels, encode_jpeg
-    from lingua_ray.stages.jpeg_arith import (ArithDecoder, ArithEncoder,
-                                              Stats, encode_jpeg_arith)
-
-    rng = np.random.RandomState(11)
-    img = rng.randint(0, 256, (24, 24)).astype(np.uint8)
-    ph = decode_jpeg_pixels(encode_jpeg(img))
-    # non-default DAC conditioning must round-trip identically too
-    for dc_cond, kx in (((1, 2), 1), ((0, 3), 63), ((2, 2), 16)):
-        pa_ = decode_jpeg_pixels(encode_jpeg_arith(
-            img, dc_cond=dc_cond, ac_kx=kx))
-        np.testing.assert_array_equal(ph, pa_)
-    # raw QM-coder fuzz: adaptive multi-context bit streams
-    for trial in range(25):
-        n = int(rng.randint(1, 3000))
-        bits = (rng.rand(n) < rng.rand()).astype(int).tolist()
-        nctx = int(rng.randint(1, 10))
-        ctxs = rng.randint(0, nctx, n).tolist()
-        enc = ArithEncoder()
-        st = Stats(nctx)
-        for b, c in zip(bits, ctxs):
-            enc.code(st, c, b)
-        data = enc.flush().replace(b"\xff\x00", b"\xff")
-        dec = ArithDecoder(data)
-        st2 = Stats(nctx)
-        assert [dec.decode(st2, c) for c in ctxs] == bits
-
-
-def test_arith_jpeg_malformed():
-    from lingua_ray.stages.jpeg import decode_jpeg
-    from lingua_ray.stages.jpeg_arith import encode_jpeg_arith
-
-    rng = np.random.RandomState(13)
-    good = encode_jpeg_arith(rng.randint(0, 256, (16, 16)).astype(np.uint8))
-    assert decode_jpeg(good[: len(good) // 2]) is None   # truncated
-    bad = bytearray(good)
-    sof = bad.find(b"\xff\xc9")
-    bad[sof + 9] = 0        # zero sampling factor in SOF9
-    assert decode_jpeg(bytes(bad)) is None
-    # SOF10 forged onto the SEQUENTIAL scan header: full-band DC
-    # scan is rejected (real progressive-arith streams decode)
-    bad = bytearray(good)
-    bad[sof + 1] = 0xCA
-    assert decode_jpeg(bytes(bad)) is None
-
-
-def test_arith_jpeg_progressive_identical_to_huffman():
-    """SOF10 and SOF2 share FDCT/quant and the 9-scan script, so the
-    progressive-arithmetic decode must equal the progressive-Huffman
-    decode bit for bit."""
-    from lingua_ray.stages.jpeg import decode_jpeg_pixels, encode_jpeg
-    from lingua_ray.stages.jpeg_arith import encode_jpeg_arith
-
-    rng = np.random.RandomState(77)
-    cases = [
-        (rng.randint(0, 256, (16, 16)).astype(np.uint8), {}),
-        (rng.randint(0, 256, (21, 13)).astype(np.uint8), {"quality": 40}),
-        (rng.randint(0, 256, (16, 16, 3)).astype(np.uint8), {}),
-        (rng.randint(0, 256, (24, 24, 3)).astype(np.uint8),
-         {"subsample": True}),
-        (rng.randint(0, 256, (19, 13, 3)).astype(np.uint8),
-         {"subsample": True, "quality": 95}),
-        (np.full((16, 16), 77, np.uint8), {}),
-    ]
-    for img, kw in cases:
-        ph = decode_jpeg_pixels(encode_jpeg(
-            img, quality=kw.get("quality", 85),
-            subsample=kw.get("subsample", False), progressive=True))
-        pa_ = decode_jpeg_pixels(encode_jpeg_arith(
-            img, progressive=True, **kw))
-        assert pa_ is not None, (img.shape, kw)
-        np.testing.assert_array_equal(ph, pa_)
-
-
-def test_arith_jpeg_progressive_truncation():
-    from lingua_ray.stages.jpeg import decode_jpeg
-    from lingua_ray.stages.jpeg_arith import encode_jpeg_arith
-
-    rng = np.random.RandomState(78)
-    img = rng.randint(0, 256, (24, 24)).astype(np.uint8)
-    good = encode_jpeg_arith(img, progressive=True)
-    assert decode_jpeg(good) is not None
-    assert decode_jpeg(good[: len(good) // 3]) is None
-
-
-# ------------------------------------------------------- baseline TIFF
-
-
-def _packbits_deflate(row: bytes) -> bytes:
-    """Simple PackBits encoder (test oracle): literal runs split at
-    repeats of >=3."""
-    out = bytearray()
-    i = 0
-    while i < len(row):
-        j = i
-        while j + 1 < len(row) and row[j + 1] == row[j] and j - i < 127:
-            j += 1
-        if j - i >= 2:                   # repeat run
-            out += bytes([257 - (j - i + 1), row[i]])
-            i = j + 1
-            continue
-        j = i
-        while j < len(row) and (j + 2 >= len(row)
-                                or row[j + 1] != row[j]
-                                or row[j + 2] != row[j]) and j - i < 127:
-            j += 1
-        out += bytes([j - i - 1]) + row[i:j]
-        i = j
-    return bytes(out)
-
-
-def _tiff_full(img, big_endian=False, packbits=False, rows_per_strip=None,
-          alpha=False, lzw=False, deflate=False, predictor=1):
-    """Minimal-but-real baseline TIFF writer (test oracle): first IFD
-    with strip layout, SHORT/LONG tags, optional PackBits / LZW /
-    horizontal-differencing predictor."""
-    bo = ">" if big_endian else "<"
-    h, w = img.shape[:2]
-    spp = 1 if img.ndim == 2 else (4 if alpha else 3)
-    if alpha:
-        img = np.dstack([img, np.full((h, w), 200, np.uint8)])
-    if predictor == 2:
-        # first pixel raw, then per-channel horizontal differences
-        img3 = img.reshape(h, w, spp).astype(np.int64)
-        img = (np.diff(img3, axis=1,
-                       prepend=np.zeros((h, 1, spp), np.int64)) % 256) \
-            .astype(np.uint8).reshape(img.shape)
-    rps = rows_per_strip or h
-    strips = []
-    flat = img.reshape(h, -1)
-    for y0 in range(0, h, rps):
-        raw = flat[y0:y0 + rps].tobytes()
-        import zlib
-        strips.append(_packbits_deflate(raw) if packbits
-                      else _lzw_deflate_tiff(raw) if lzw
-                      else zlib.compress(raw) if deflate else raw)
-    # layout: header(8) | IFD | values | strip data
-    ntags = 10
-    ifd_off = 8
-    ifd_size = 2 + ntags * 12 + 4
-    val_off = ifd_off + ifd_size
-    extra = bytearray()
-
-    def values(vals, typ):
-        nonlocal extra
-        size = 2 if typ == 3 else 4
-        if len(vals) * size <= 4:
-            b = b"".join(struct.pack(bo + ("H" if typ == 3 else "I"), v)
-                         for v in vals)
-            return b + b"\0" * (4 - len(b)), len(vals)
-        off = val_off + len(extra)
-        for v in vals:
-            extra += struct.pack(bo + ("H" if typ == 3 else "I"), v)
-        return struct.pack(bo + "I", off), len(vals)
-
-    # strip offsets are filled after we know the data start
-    data_off_base = None
-    entries = []
-
-    def tag(t, typ, vals):
-        payload, cnt = values(vals, typ)
-        entries.append(struct.pack(bo + "HHI", t, typ, cnt) + payload)
-
-    tag(256, 4, [w])
-    tag(257, 4, [h])
-    tag(258, 3, [8] * spp)
-    tag(259, 3, [32773 if packbits else 5 if lzw
-                 else 8 if deflate else 1])
-    tag(317, 3, [predictor])
-    tag(262, 3, [2 if spp >= 3 else 1])
-    # placeholder for 273; compute after extra is final
-    entries.append(None)
-    i273 = len(entries) - 1
-    tag(277, 3, [spp])
-    tag(278, 4, [rps])
-    tag(279, 4, [len(s) for s in strips])
-    # reserve room for strip-offset values if they spill
-    spill = len(strips) * 4 > 4
-    offs_slot = len(extra)
-    if spill:
-        extra += b"\0" * (len(strips) * 4)
-    data_off_base = val_off + len(extra)
-    offs = []
-    pos = data_off_base
-    for s in strips:
-        offs.append(pos)
-        pos += len(s)
-    if spill:
-        packed = b"".join(struct.pack(bo + "I", o) for o in offs)
-        extra[offs_slot:offs_slot + len(packed)] = packed
-        payload = struct.pack(bo + "I", val_off + offs_slot)
-        entries[i273] = struct.pack(bo + "HHI", 273, 4, len(strips)) \
-            + payload
-    else:
-        b = struct.pack(bo + "I", offs[0])
-        entries[i273] = struct.pack(bo + "HHI", 273, 4, 1) + b
-    entries.sort(key=lambda e: struct.unpack_from(bo + "H", e)[0])
-    hdr = (b"II*\x00" if not big_endian else b"MM\x00*") \
-        + struct.pack(bo + "I", ifd_off)
-    ifd = struct.pack(bo + "H", ntags) + b"".join(entries) \
-        + struct.pack(bo + "I", 0)
-    return hdr + ifd + bytes(extra) + b"".join(strips)
-
-
-def test_tiff_decode_roundtrip():
-    from lingua_ray.stages.multimodal import (decode_image,
-                                              decode_image_pixels)
-
-    rng = np.random.RandomState(17)
-    gray = rng.randint(0, 256, (11, 14)).astype(np.uint8)
-    rgb = rng.randint(0, 256, (9, 7, 3)).astype(np.uint8)
-    for img, kw in [
-        (gray, {}), (gray, {"big_endian": True}),
-        (gray, {"packbits": True}),
-        (rgb, {}), (rgb, {"rows_per_strip": 3}),
-        (rgb, {"packbits": True, "rows_per_strip": 2,
-               "big_endian": True}),
-        (rgb, {"alpha": True}),
-    ]:
-        p = _tiff_full(img, **kw)
-        px = decode_image_pixels(p)
-        assert px is not None, kw
-        np.testing.assert_array_equal(px, img)
-        w, h, luma = decode_image(p)
-        assert (w, h) == (img.shape[1], img.shape[0])
-        if img.ndim == 2:
-            want = float(img.mean()) / 255.0
-        else:
-            want = float((img.reshape(-1, 3).astype(np.float64)
-                          @ np.array([0.299, 0.587, 0.114])).mean()) / 255
-        assert abs(luma - want) < 1e-9
-
-
-def test_tiff_malformed_and_out_of_subset():
-    from lingua_ray.stages.multimodal import decode_image
-
-    rng = np.random.RandomState(18)
-    img = rng.randint(0, 256, (6, 6)).astype(np.uint8)
-    good = _tiff_full(img)
-    assert decode_image(good[:20]) is None           # truncated IFD
-    bad = bytearray(good)
-    # forge LZW compression (tag 259 value -> 5): out of subset
-    i = good.find(struct.pack("<HH", 259, 3))
-    bad[i + 8] = 5
-    assert decode_image(bytes(bad)) is None
-    assert decode_image(b"II*\x00" + b"\0" * 4) is None
-
-
-def _lzw_deflate_tiff(data: bytes) -> bytes:
-    """TIFF-LZW encoder (test oracle): MSB-first variable-width codes
-    with early change, leading Clear, trailing EOI."""
-    out = bytearray()
-    acc = nbits = 0
-
-    def emit(code, width):
-        nonlocal acc, nbits
-        acc = (acc << width) | code
-        nbits += width
-        while nbits >= 8:
-            nbits -= 8
-            out.append((acc >> nbits) & 0xFF)
-
-    table = {bytes([i]): i for i in range(256)}
-    next_code, width = 258, 9
-    emit(256, width)
-    w = b""
-    for ch in data:
-        wc = w + bytes([ch])
-        if wc in table:
-            w = wc
-            continue
-        emit(table[w], width)
-        table[wc] = next_code
-        next_code += 1
-        if next_code + 1 >= (1 << width) and width < 12:  # early change
-            width += 1
-        if next_code >= 4094:           # conventional table-full Clear
-            emit(256, width)
-            table = {bytes([i]): i for i in range(256)}
-            next_code, width = 258, 9
-        w = bytes([ch])
-    if w:
-        emit(table[w], width)
-    emit(257, width)
-    if nbits:
-        out.append((acc << (8 - nbits)) & 0xFF)
-    return bytes(out)
-
-
-def test_tiff_lzw_and_predictor():
-    from lingua_ray.stages.multimodal import (_lzw_inflate_tiff,
-                                              decode_image_pixels)
-
-    rng = np.random.RandomState(23)
-    # raw LZW round-trips incl. a table-full Clear (needs >4k entries)
-    for blob in (b"", b"a", b"ababababab" * 50,
-                 rng.randint(0, 4, 9000).astype(np.uint8).tobytes(),
-                 rng.randint(0, 256, 20000).astype(np.uint8).tobytes()):
-        assert bytes(_lzw_inflate_tiff(_lzw_deflate_tiff(blob))) == blob
-
-    # full TIFF with Compression=5, with and without predictor 2,
-    # single- and multi-strip, both endians
-    img = rng.randint(0, 256, (13, 9, 3)).astype(np.uint8)
-    gray = rng.randint(0, 256, (8, 21)).astype(np.uint8)
-    for src, kw in [
-        (img, {"lzw": True}),
-        (img, {"lzw": True, "predictor": 2}),
-        (img, {"lzw": True, "predictor": 2, "rows_per_strip": 4,
-               "big_endian": True}),
-        (gray, {"lzw": True, "predictor": 2}),
-        (img, {"packbits": True, "predictor": 2}),
-        (img, {"deflate": True}),
-        (img, {"deflate": True, "predictor": 2, "rows_per_strip": 5}),
-    ]:
-        px = decode_image_pixels(_tiff_full(src, **kw))
-        assert px is not None, kw
-        np.testing.assert_array_equal(px, src)
-
-
-# ---------------------------------------------------------- AIFF / AU
-
-
-def _aiff(samples, sr, bits=16, nch=1):
-    """Minimal-but-real AIFF writer (test oracle): COMM with the
-    80-bit extended rate + SSND."""
-    s = np.asarray(samples, dtype=np.int64)
-    nframes = len(s) // nch
-    exp = 16383 + 63
-    mant = sr
-    while mant and mant < 1 << 63:     # normalize: mantissa MSB set
-        mant <<= 1
-        exp -= 1
-    f80 = struct.pack(">H", exp) + mant.to_bytes(8, "big")
-    if bits == 16:
-        body = s.astype(">i2").tobytes()
-    elif bits == 8:
-        body = s.astype(np.int8).tobytes()
-    else:
-        body = s.astype(">i4").tobytes()
-    comm = struct.pack(">HIH", nch, nframes, bits) + f80
-    ssnd = struct.pack(">II", 0, 0) + body
-    chunks = (b"COMM" + struct.pack(">I", len(comm)) + comm
-              + b"SSND" + struct.pack(">I", len(ssnd)) + ssnd
-              + (b"\0" if len(ssnd) & 1 else b""))
-    return b"FORM" + struct.pack(">I", 4 + len(chunks)) + b"AIFF" + chunks
-
-
-def test_aiff_decode():
-    from lingua_ray.stages.multimodal import decode_aiff
-
-    t = np.arange(4000)
-    s = np.round(0.5 * 32767 * np.sin(2 * np.pi * 440 * t / 8000)) \
-        .astype(np.int64)
-    sr, nch, dec = decode_aiff(_aiff(s, 8000))
-    assert (sr, nch) == (8000, 1)
-    np.testing.assert_array_equal(np.round(dec * 32768), s)
-    # 8-bit signed + stereo interleave
-    s8 = (s >> 8).astype(np.int64)
-    sr, nch, dec = decode_aiff(_aiff(s8, 11025, bits=8, nch=2))
-    assert (sr, nch) == (11025, 2)
-    np.testing.assert_array_equal(np.round(dec * 128), s8)
-    assert decode_aiff(b"FORM\0\0\0\x04AIFC") is None
-    assert decode_aiff(b"RIFF" + bytes(40)) is None
-
-
-def _au(body, enc, sr, nch=1):
-    return (b".snd" + struct.pack(">IIIII", 24, len(body), enc, sr, nch)
-            + body)
-
-
-def test_au_decode():
-    from lingua_ray.stages.multimodal import decode_au
-
-    s = np.round(0.4 * 32767 * np.sin(
-        2 * np.pi * 440 * np.arange(2000) / 8000)).astype(np.int64)
-    sr, nch, dec = decode_au(_au(s.astype(">i2").tobytes(), 3, 8000))
-    assert (sr, nch) == (8000, 1)
-    np.testing.assert_array_equal(np.round(dec * 32768), s)
-    # float64 exact round-trip
-    f = np.linspace(-0.9, 0.9, 100)
-    _, _, dec = decode_au(_au(f.astype(">f8").tobytes(), 7, 16000))
-    np.testing.assert_allclose(dec, f, rtol=0, atol=0)
-    # mu-law matches the WAV mu-law expansion of the same bytes
-    from lingua_ray.stages.multimodal import _mulaw_expand
-    raw = bytes(range(256))
-    _, _, dec = decode_au(_au(raw, 1, 8000))
-    want = _mulaw_expand(np.frombuffer(raw, np.uint8)
-                         .astype(np.int64)) / 32768.0
-    np.testing.assert_array_equal(dec, want)
-    assert decode_au(_au(b"\0" * 16, 23, 8000)) is None  # ADPCM: boundary
-    assert decode_au(b"\0" * 64) is None
-
-
-def test_audio_meta_aiff_au_and_featurizer():
-    from lingua_ray.stages.multimodal import AudioFeaturizer, audio_meta_batch
-
-    s = np.round(0.5 * 32767 * np.sin(
-        2 * np.pi * 220 * np.arange(4000) / 8000)).astype(np.int64)
-    aiff = _aiff(s, 8000)
-    au = _au(s.astype(">i2").tobytes(), 3, 16000)
-    batch = pa.table({"payload": pa.array([aiff, au], pa.large_binary())})
-    out = audio_meta_batch(batch)
-    assert out.column("format").to_pylist() == ["aiff", "au"]
-    assert out.column("sample_rate").to_pylist() == [8000, 16000]
-    assert out.column("duration_s").to_pylist() == [0.5, 0.25]
-    feat = AudioFeaturizer(real=True)(batch)
-    assert feat.column("duration_s").to_pylist() == [0.5, 0.25]
-    ref = float(np.sqrt(np.mean((s / 32768.0) ** 2)))
-    for rms in feat.column("rms").to_pylist():
-        assert abs(rms - ref) < 1e-9
-
-
 def test_jpeg_12bit_precision():
     """Extended-sequential 12-bit (SOF1, Pq=1 DQT, 2048 level shift):
     mean-luma is precision-normalized and the uint8 pixel contract
@@ -2095,74 +305,3 @@ def test_jpeg_12bit_precision():
     assert decode_jpeg(bytes(bad)) is None
     # 8-bit paths still reject precision-12-only features gracefully
     assert encode_jpeg(img.astype(np.uint8) >> 0, quality=85) is not None
-
-
-# --------------------------------------------- YUV4MPEG2 raw video
-
-
-def _y4m(planes_y, w, h, cs=b"420jpeg", num=25, den=1, frame_params=b""):
-    """Encoder oracle: assemble a Y4M stream from uint8 Y planes, chroma
-    planes filled with 0x80 (neutral)."""
-    if cs.startswith(b"420"):
-        extra = 2 * ((w + 1) // 2) * ((h + 1) // 2)
-    elif cs.startswith(b"422"):
-        extra = w * h
-    elif cs.startswith(b"444"):
-        extra = 2 * w * h
-    else:                                   # mono
-        extra = 0
-    head = b"YUV4MPEG2 W%d H%d F%d:%d Ip A1:1 C%s\n" % (w, h, num, den, cs)
-    body = b"".join(b"FRAME" + frame_params + b"\n"
-                    + y.astype(np.uint8).tobytes() + b"\x80" * extra
-                    for y in planes_y)
-    return head + body
-
-
-def _y_planes(n, w, h, seed=5):
-    rng = np.random.RandomState(seed)
-    return [rng.randint(0, 256, size=(h, w)).astype(np.uint8)
-            for _ in range(n)]
-
-
-def test_y4m_parse_and_timestamps():
-    from lingua_ray.stages.multimodal import parse_y4m, y4m_frame_timestamps
-
-    ys = _y_planes(4, 12, 6)
-    p = _y4m(ys, 12, 6)
-    info = parse_y4m(p)
-    assert (info["width"], info["height"]) == (12, 6)
-    assert len(info["frames"]) == 4
-    assert y4m_frame_timestamps(p) == pytest.approx([0.0, 0.04, 0.08, 0.12])
-    # 30000:1001 NTSC rate, FRAME params, odd dims (rounded-up chroma)
-    q = _y4m(_y_planes(2, 7, 5), 7, 5, num=30000, den=1001,
-             frame_params=b" Xtag")
-    assert y4m_frame_timestamps(q) == pytest.approx([0.0, 1001 / 30000])
-    # every colourspace frame size
-    for cs in (b"mono", b"422", b"444", b"420mpeg2"):
-        r = _y4m(_y_planes(3, 8, 4), 8, 4, cs=cs)
-        assert len(parse_y4m(r)["frames"]) == 3, cs
-    # malformed / truncated: final partial frame dropped, junk rejected
-    assert parse_y4m(b"") is None
-    assert parse_y4m(b"YUV4MPEG2 W0 H4 F25:1\n") is None
-    assert parse_y4m(b"RIFF" + b"\0" * 32) is None
-    assert len(parse_y4m(p[:-5])["frames"]) == 3
-
-
-def test_y4m_sample_frames_and_sampler():
-    from lingua_ray.stages.multimodal import (VideoFrameSampler,
-                                              y4m_sample_frames)
-
-    ys = _y_planes(6, 16, 8, seed=11)
-    p = _y4m(ys, 16, 8, num=2, den=1)                 # 0.5 s per frame
-    got = y4m_sample_frames(p, [0.0, 1.0])
-    assert np.array_equal(got[0], ys[0])
-    assert np.array_equal(got[1], ys[2])
-
-    batch = pa.table({"payload": pa.array([p], pa.large_binary())})
-    out = VideoFrameSampler(fps=2.0, max_frames=100, real=True,
-                            decode_stats=True)(batch)
-    assert out.column("n_frames")[0].as_py() == 6
-    luma = out.column("frame_mean_luma")[0].as_py()
-    # raw Y plane: luma is EXACT, not codec-approximate
-    for lm, y in zip(luma, ys):
-        assert lm == pytest.approx(float(y.mean()) / 255.0, abs=1e-12)

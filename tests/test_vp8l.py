@@ -102,21 +102,3 @@ def test_malformed_streams_return_none():
     # version bits are bits 29-31 of the post-signature stream
     body[20 + 1 + 3] |= 0x40
     assert decode_webp_pixels(bytes(body)) is None
-
-
-def test_decode_image_integration():
-    from lingua_ray.stages.multimodal import (ImageDecoder, decode_image,
-                                              decode_image_pixels)
-    import pyarrow as pa
-
-    img = _img(5, 12, seed=17)
-    p = encode_vp8l(img, transform="subtract_green", cache_bits=3)
-    got = decode_image_pixels(p)
-    assert (got == img).all()
-    w, h, _ = decode_image(p)
-    assert (w, h) == (12, 5)
-    t = pa.table({"payload": pa.array([p], type=pa.large_binary())})
-    out = ImageDecoder(real=True, rgb_stats=True)(t)
-    assert out.column("width").to_pylist() == [12]
-    means = img.reshape(-1, 3).mean(axis=0) / 255.0
-    assert abs(out.column("mean_g").to_pylist()[0] - means[1]) < 1e-12
