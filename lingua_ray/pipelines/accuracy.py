@@ -24,10 +24,18 @@ from ..stages.langid import map_langid
 def corpus_table(langs: tuple[str, ...] | None = None,
                  sample_per_file: int | None = None,
                  corpus_dir: Path = CORPUS_DIR) -> pa.Table:
-    """FIXTURES.md §F1: (true_lang, category, line_no, text)."""
+    """FIXTURES.md §F1: (true_lang, category, line_no, text).  Raises
+    ``FileNotFoundError`` naming ``corpus_dir`` when it holds no
+    ``<category>/*.txt`` file at all."""
+    paths = {cat: sorted((corpus_dir / cat).glob("*.txt"))
+             for cat in CORPUS_CATEGORIES}
+    if not any(paths.values()):
+        raise FileNotFoundError(
+            f"no accuracy corpus at {corpus_dir}: expected "
+            f"<{'|'.join(CORPUS_CATEGORIES)}>/<lang>.txt")
     rows_lang, rows_cat, rows_no, rows_text = [], [], [], []
     for cat in CORPUS_CATEGORIES:
-        for path in sorted((corpus_dir / cat).glob("*.txt")):
+        for path in paths[cat]:
             iso1 = path.stem
             if langs and iso1 not in langs:
                 continue

@@ -8,7 +8,9 @@ bit-for-bit.  Appends:
 * ``n_words``  — single-space split token count (empties included)
 * ``n_alpha``  — ASCII letter count
 * ``n_digits`` — ASCII digit count
-* ``n_distinct_words`` — distinct tokens
+* ``n_logograms`` — CJK/kana/Hangul codepoint count (``LOGOGRAM_RANGES``)
+* ``n_distinct_words`` — distinct single-space-split tokens, as the
+  oracle's ``list_distinct(string_split(...))``
 * ``quality_flags`` — bitmask, 0 = passes all rules
 """
 
@@ -49,83 +51,47 @@ for _lo, _hi in LOGOGRAM_RANGES:
     _IS_LOGOGRAM_Q[_lo: _hi + 1] = True
 
 
-_HASH_MULT = np.uint64(1099511628211)
-_HASH_INV = np.uint64(pow(1099511628211, -1, 2 ** 64))
-_MIX64 = np.uint64(0xBF58476D1CE4E5B9)
-
-
-def _distinct_tokens(cps: np.ndarray, offsets: np.ndarray, n: int
-                     ) -> np.ndarray:
-    """Distinct single-space-split tokens per row (empties count), without
-    a Python loop.  Token hash = Horner polynomial of its codepoints
-    (prefix-sum difference with position-indexed powers), finalized with a
-    length mix; distinct = first occurrences in a (row, hash) lexsort."""
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    total = len(cps)
-    lengths = np.diff(offsets)
-    if total == 0:
-        return np.ones(n, dtype=np.int64)    # every row is the 1 empty token
-    idx = np.arange(total, dtype=np.int64)
-    is_space = cps == 0x20
-    # Position-indexed powers via the modular inverse of the multiplier
-    # (odd -> invertible mod 2^64):
-    #   h(token) = Σ cp_i·m^(end-1-i) = m^(end-1) · Σ cp_i·inv^i
-    # so the per-char term is cps * inv^position — a straight elementwise
-    # product with an accumulated table, no gather, no per-char token-end.
-    pinv = np.empty(total, dtype=np.uint64)
-    pinv[0] = 1
-    np.multiply.accumulate(
-        np.full(total, _HASH_INV, dtype=np.uint64)[:-1], out=pinv[1:])
-    pfwd = np.empty(total, dtype=np.uint64)
-    pfwd[0] = 1
-    np.multiply.accumulate(
-        np.full(total, _HASH_MULT, dtype=np.uint64)[:-1], out=pfwd[1:])
-    terms = cps.astype(np.uint64) * pinv
-    terms[is_space] = 0
-    cs = np.zeros(total + 1, dtype=np.uint64)
-    np.cumsum(terms, dtype=np.uint64, out=cs[1:])
-    # token (start, end) pairs: row starts + char-after-space starts;
-    # spaces + row ends as ends — sorted merge pairs them up per row
-    space_idx = idx[is_space]
-    starts = np.sort(np.concatenate([offsets[:-1], space_idx + 1]))
-    ends = np.sort(np.concatenate([space_idx, offsets[1:]]))
-    h = (cs[ends] - cs[starts]) * pfwd[np.maximum(ends - 1, 0)]
-    h = (h ^ (ends - starts).astype(np.uint64) * _HASH_MULT)
-    h = (h ^ (h >> np.uint64(30))) * _MIX64
-    h ^= h >> np.uint64(27)
-    n_spaces_row = np.bincount(
-        np.repeat(np.arange(n, dtype=np.int64), lengths)[is_space],
-        minlength=n).astype(np.int64)
-    n_tokens_per_row = n_spaces_row + 1
-    tok_row = np.repeat(np.arange(n, dtype=np.int64), n_tokens_per_row)
-    order = np.lexsort((h, tok_row))
-    hs, rs = h[order], tok_row[order]
-    first = np.ones(len(hs), dtype=bool)
-    first[1:] = (hs[1:] != hs[:-1]) | (rs[1:] != rs[:-1])
-    return np.bincount(rs[first], minlength=n).astype(np.int64)
+def _word_runs(col) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split a text column (nulls already filled) on single spaces, exactly
+    as the oracle's ``string_split(text, ' ')`` (empties count).  Returns
+    the words per row, and per distinct (row, word) in (row, word code)
+    order the row and the word's occurrences in it.  Arrow split +
+    dictionary-encode gives integer word codes, one sort of the combined
+    (row, code) key gives the runs."""
+    import pyarrow.compute as pc
+    words = pc.split_pattern(col, " ")
+    lens = np.asarray(
+        pc.list_value_length(words).to_numpy(zero_copy_only=False),
+        dtype=np.int64)
+    enc = pc.dictionary_encode(pc.list_flatten(words))
+    if len(enc) == 0:               # a 0-row batch has no words at all
+        none = np.zeros(0, dtype=np.int64)
+        return lens, none, none
+    n_codes = len(enc.dictionary)
+    key = np.repeat(np.arange(len(lens), dtype=np.int64) * n_codes, lens)
+    key += np.asarray(enc.indices.to_numpy(zero_copy_only=False),
+                      dtype=np.int64)
+    key.sort()
+    run_start = np.flatnonzero(
+        np.concatenate([[True], key[1:] != key[:-1]]))
+    run_len = np.diff(np.append(run_start, len(key)))
+    return lens, key[run_start] // n_codes, run_len
 
 
 def quality_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     n = batch.num_rows
-    cps, offsets = encode_arrow(batch.column(text_col))
+    col = utf8_filled(batch.column(text_col))
+    cps, offsets = encode_arrow(col)
     row_id = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
     n_chars = np.diff(offsets).astype(np.int64)
     n_alpha = np.bincount(row_id[_ASCII_ALPHA[cps]], minlength=n).astype(np.int64)
     n_digits = np.bincount(row_id[_ASCII_DIGIT[cps]], minlength=n).astype(np.int64)
-    n_spaces = np.bincount(row_id[cps == 0x20], minlength=n).astype(np.int64)
     n_logograms = np.bincount(
         row_id[_IS_LOGOGRAM_Q[cps]], minlength=n).astype(np.int64)
+    n_words, run_row, _ = _word_runs(col)
+    n_distinct = np.bincount(run_row, minlength=n).astype(np.int64)
 
-    # split(" ") semantics, vectorized: n_words = spaces + 1 (empties
-    # included); n_distinct via a 64-bit polynomial hash per token computed
-    # with one cumulative sum (wrapped-uint64 prefix differences), then a
-    # (row, hash) lexsort + first-occurrence count.  Collisions would need
-    # two distinct tokens in one row sharing a 64-bit hash (~(toks/row)²/2⁶⁵).
-    n_words = n_spaces + 1
-    n_distinct = _distinct_tokens(cps, offsets, n)
-
-    word_chars = n_chars - n_spaces
+    word_chars = n_chars - (n_words - 1)    # split(' '): spaces = words - 1
     cjk = 2 * n_logograms >= n_chars
     cjk &= n_chars > 0
     flags = np.zeros(n, dtype=np.int32)
@@ -192,36 +158,11 @@ def repetition_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Append ``top_word_count`` / ``n_words_rep``: occurrences of the
     document's single most frequent word and the total word count
     (Gopher-style repetition signal; a high ratio flags keyword-stuffed
-    or degenerate machine text).  Fully vectorized: Arrow split +
-    dictionary-encode gives integer word codes, then one lexsort and two
-    segmented reductions — no Python loop over rows or tokens."""
-    import pyarrow.compute as pc
-    col = utf8_filled(batch.column(text_col))
-    words = pc.split_pattern(col, " ")
-    n = batch.num_rows
-    lens = np.asarray(
-        pc.list_value_length(words).to_numpy(zero_copy_only=False),
-        dtype=np.int64)
-    flat = pc.list_flatten(words)
-    enc = pc.dictionary_encode(flat)
-    if isinstance(enc, pa.ChunkedArray):
-        enc = enc.combine_chunks()
-    codes = np.asarray(
-        enc.indices.to_numpy(zero_copy_only=False), dtype=np.int64)
-    row_id = np.repeat(np.arange(n, dtype=np.int64), lens)
-
-    top = np.zeros(n, dtype=np.int64)
-    if len(codes):
-        order = np.lexsort((codes, row_id))
-        r, c = row_id[order], codes[order]
-        run_start = np.flatnonzero(
-            np.concatenate([[True], (r[1:] != r[:-1]) | (c[1:] != c[:-1])]))
-        run_len = np.diff(np.concatenate([run_start, [len(r)]]))
-        run_row = r[run_start]
-        row_start = np.flatnonzero(
-            np.concatenate([[True], run_row[1:] != run_row[:-1]]))
-        top[run_row[row_start]] = np.maximum.reduceat(run_len, row_start)
-
+    or degenerate machine text).  The per-row maximum of
+    ``_word_runs``' run lengths."""
+    lens, run_row, run_len = _word_runs(utf8_filled(batch.column(text_col)))
+    top = np.zeros(len(lens), dtype=np.int64)
+    np.maximum.at(top, run_row, run_len)
     batch = set_column(batch, "top_word_count", pa.array(top))
     batch = set_column(batch, "n_words_rep", pa.array(lens))
     return batch
@@ -232,37 +173,14 @@ def entropy_batch(batch: pa.Table, text_col: str = "text",
     """Append ``entropy`` (Shannon entropy of the document's word
     distribution, nats) and ``n_hapax`` (words occurring exactly once in
     the document) — degenerate/templated text scores low entropy, rich
-    prose high.  Shuffle-free and fully vectorized: the same
-    lexsort + run-length machinery as ``repetition_batch``, with the
-    per-(doc, word) run lengths folded into per-doc sums by
-    ``np.add.at``."""
-    import pyarrow.compute as pc
-    col = utf8_filled(batch.column(text_col))
-    words = pc.split_pattern(col, " ")
-    n = batch.num_rows
-    lens = np.asarray(
-        pc.list_value_length(words).to_numpy(zero_copy_only=False),
-        dtype=np.int64)
-    flat = pc.list_flatten(words)
-    enc = pc.dictionary_encode(flat)
-    if isinstance(enc, pa.ChunkedArray):
-        enc = enc.combine_chunks()
-    codes = np.asarray(
-        enc.indices.to_numpy(zero_copy_only=False), dtype=np.int64)
-    row_id = np.repeat(np.arange(n, dtype=np.int64), lens)
-
-    entropy = np.zeros(n, dtype=np.float64)
-    hapax = np.zeros(n, dtype=np.int64)
-    if len(codes):
-        order = np.lexsort((codes, row_id))
-        r, c = row_id[order], codes[order]
-        run_start = np.flatnonzero(
-            np.concatenate([[True], (r[1:] != r[:-1]) | (c[1:] != c[:-1])]))
-        run_len = np.diff(np.concatenate([run_start, [len(r)]]))
-        run_row = r[run_start]
-        p = run_len / lens[run_row]
-        np.add.at(entropy, run_row, -p * np.log(p))
-        np.add.at(hapax, run_row, (run_len == 1).astype(np.int64))
+    prose high.  Shuffle-free: ``_word_runs``' per-(doc, word) run
+    lengths folded into per-doc sums."""
+    lens, run_row, run_len = _word_runs(utf8_filled(batch.column(text_col)))
+    p = run_len / lens[run_row]
+    entropy = np.zeros(len(lens), dtype=np.float64)
+    np.add.at(entropy, run_row, -p * np.log(p))
+    hapax = np.bincount(run_row[run_len == 1],
+                        minlength=len(lens)).astype(np.int64)
     batch = set_column(batch, "entropy",
                        pa.array(np.round(entropy, ndigits)))
     batch = set_column(batch, "n_hapax", pa.array(hapax))

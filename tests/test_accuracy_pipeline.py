@@ -1,7 +1,10 @@
 """Accuracy-report pipeline (reference's accuracyReport job): confusion
 counts, percentage tables, and report writer."""
 
+import re
+
 import pandas as pd
+import pytest
 
 from conftest import needs_corpus
 from lingua_ray.pipelines.accuracy import (accuracy_confusion, accuracy_table,
@@ -13,6 +16,15 @@ def test_corpus_table_shape():
     t = corpus_table(langs=("en", "de"), sample_per_file=10)
     assert t.num_rows == 2 * 3 * 10
     assert t.schema.names == ["true_lang", "category", "line_no", "text"]
+
+
+def test_corpus_table_missing_corpus_names_its_path(tmp_path):
+    (tmp_path / "sentences").mkdir()       # a category dir with no files
+    with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path))):
+        corpus_table(corpus_dir=tmp_path)
+    absent = tmp_path / "absent"
+    with pytest.raises(FileNotFoundError, match=re.escape(str(absent))):
+        corpus_table(corpus_dir=absent)
 
 
 @needs_corpus

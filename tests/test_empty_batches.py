@@ -56,13 +56,29 @@ def test_salted_combine_empty(ray_session):
 
 
 def test_round3_kernels_empty():
-    from lingua_ray.stages.quality import gopher_signals_batch
+    from lingua_ray.stages.quality import (entropy_batch,
+                                           gopher_signals_batch,
+                                           repetition_batch)
     from lingua_ray.stages.inference import LinearScorer, golden_weights
     from lingua_ray.stages import sampling as S
 
     t = _empty(doc_id=pa.int64(), text=pa.string())
     g = gopher_signals_batch(t)
     assert g.num_rows == 0 and "gopher_keep" in g.column_names
+    for text in (t.column("text"), pa.array([], pa.null())):
+        d = pa.table({"text": text})
+        r = repetition_batch(d)
+        assert r.num_rows == 0 and r.column_names == [
+            "text", "top_word_count", "n_words_rep"]
+        e = entropy_batch(d)
+        assert e.num_rows == 0 and e.column_names == [
+            "text", "entropy", "n_hapax"]
+    # all null, typed as null: every row is the one empty word
+    d = pa.table({"text": pa.nulls(3)})
+    assert repetition_batch(d).column("top_word_count").to_pylist() == [1] * 3
+    e = entropy_batch(d)
+    assert e.column("entropy").to_pylist() == [0.0] * 3
+    assert e.column("n_hapax").to_pylist() == [1] * 3
 
     e = _empty(vec_id=pa.int64(), embedding=pa.list_(pa.float32()))
     out = LinearScorer(golden_weights(8), bias=0.1)(e)

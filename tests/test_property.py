@@ -124,6 +124,23 @@ def test_distinct_tokens_equals_split_fuzzed(texts):
         assert nd[i] == len(set(toks)), repr(t)
 
 
+def test_distinct_words_thue_morse_pair_is_two_words():
+    """A 1024-symbol Thue–Morse word and its complement are distinct
+    words; a polynomial hash mod 2^64 maps them to one value, which used
+    to undercount ``n_distinct_words`` and set ``low_distinct`` (32)."""
+    import pyarrow as pa
+    from lingua_ray.stages.quality import quality_batch
+    t = [0]
+    while len(t) < 1024:
+        t += [1 - x for x in t]
+    a = "".join("ab"[x] for x in t)
+    b = "".join("ba"[x] for x in t)
+    out = quality_batch(pa.table(
+        {"text": [" ".join([a, b] + ["c"] * 8), f"{a} {b}"]}))
+    assert out.column("n_distinct_words").to_pylist() == [3, 2]
+    assert out.column("quality_flags").to_pylist()[0] == 4
+
+
 @given(st.lists(st.floats(min_value=-5, max_value=1e6,
                           allow_nan=False).map(lambda x: round(x, 3)),
                 min_size=0, max_size=120),
