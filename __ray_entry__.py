@@ -58,20 +58,26 @@ def _transcripts_for_sf(sf_dir: str) -> Path:
 # ------------------------------------------------------------------- queries
 
 def _q_quality_filter_transcripts(sf_dir: str):
-    """Flagship: full langid + quality + scrub + keep pipeline with stable
-    (conv_id, turn_idx) output order.  [rows-only — langid not in SQL]"""
+    """Flagship: full langid + quality + scrub + keep pipeline, run as the
+    production tool runs it (checkpointed waves, then the ordered finalize),
+    read back in stable (conv_id, turn_idx) order.  The run lives in a
+    per-(sf, pid) spill dir.  [rows-only — langid not in SQL]"""
     import ray.data
     from lingua_ray.models import ensure_models
-    from lingua_ray.pipelines.quality_filter import (PipelineOptions,
-                                                     run_quality_filter)
+    from lingua_ray.pipelines.quality_filter import PipelineOptions
+    from lingua_ray.stages.spill import spill_path
+    from lingua_ray.state.checkpoint import CheckpointedRun
+
     ensure_models()
-    ds = ray.data.read_parquet(str(_transcripts_for_sf(sf_dir)),
-                               columns=["conv_id", "turn_idx", "text"])
-    out = run_quality_filter(ds, PipelineOptions(
-        langid_concurrency=_langid_concurrency()))
-    return out.select_columns(["conv_id", "turn_idx", "lang", "ppl",
-                               "quality_flags", "tox_count", "scrubbed_text",
-                               "keep"])
+    out = Path(spill_path("qfilter", Path(sf_dir).name))
+    run = CheckpointedRun(_transcripts_for_sf(sf_dir), out, PipelineOptions(
+        langid_concurrency=_langid_concurrency(),
+        input_columns=["conv_id", "turn_idx", "text"]))
+    run.run()
+    run.finalize_ordered()
+    return ray.data.read_parquet(str(out / "ordered")).select_columns(
+        ["conv_id", "turn_idx", "lang", "ppl", "quality_flags", "tox_count",
+         "scrubbed_text", "keep"])
 
 
 def _q_conversations_assembled(sf_dir: str):

@@ -98,7 +98,7 @@ def run_headline(num_cpus: int, sf_dir: str, mode: str = "e2e") -> dict:
     t0 = time.perf_counter()
     out = apply_stages(ds, opts)
     if mode == "e2e":
-        write_ordered(out, out_dir, opts)
+        write_ordered(out, out_dir, opts.num_output_partitions)
     else:
         out.write_parquet(out_dir)
     elapsed = time.perf_counter() - t0

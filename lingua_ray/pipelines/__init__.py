@@ -1,4 +1,3 @@
-from .quality_filter import PipelineOptions, apply_stages, restore_order, run_quality_filter
+from .quality_filter import PipelineOptions, apply_stages, write_ordered
 
-__all__ = ["PipelineOptions", "apply_stages", "restore_order",
-           "run_quality_filter"]
+__all__ = ["PipelineOptions", "apply_stages", "write_ordered"]

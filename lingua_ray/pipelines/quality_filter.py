@@ -6,8 +6,7 @@
       → map_batches(scrub_batch)                  # PII scrub + tox count
       → map_batches(keep_batch)                   # keep/drop decision
       → map_batches(extra_stages...)              # user plug-ins
-      → [restore_order]                           # stable (conv_id, turn_idx)
-      → write_parquet / consume
+      → write_ordered                             # stable (conv_id, turn_idx)
 
 With ``keep_only`` the language-independent checks run first, so langid
 scores only turns that can still be kept::
@@ -35,7 +34,7 @@ node):
 * Detection is embarrassingly row-parallel — no shuffle before the final
   order-restoring partition step.
 * The only shuffle is the hash(conv_id) → partition exchange in
-  :func:`restore_order`.  Partition count is explicit; a mega-conversation
+  :func:`write_ordered`.  Partition count is explicit; a mega-conversation
   lands wholly in one partition (required for per-conversation ordering) but
   is only *sorted* there — all scoring happened shuffle-free upstream, so
   skew costs O(n log n) sort time, not compute time (the salting scheme from
@@ -74,10 +73,12 @@ class PipelineOptions:
     batch_size: int = 2048
     # How many langid batches score at once (one CPU each).
     langid_concurrency: int = 4
-    # None (default) derives the hash-partition count from the input size
-    # (see derive_num_partitions); set explicitly to pin it — it is part of
-    # the checkpoint fingerprint, so a resume must reuse the same value.
+    # None (default) derives the hash-partition count from the checkpointed
+    # row count (see CheckpointedRun.finalize_ordered); set to pin it.  Not
+    # part of the checkpoint fingerprint: finalize rewrites every partition.
     num_output_partitions: int | None = None
+    # Ignored: ordering is always write_ordered.  Kept only because
+    # perfbench/run.py still passes it; deleted with the next benchmark change.
     restore_order: bool = True
     # Write only kept turns.  Also runs quality and scrub before langid and
     # drops their failures there (see apply_stages).
@@ -114,42 +115,6 @@ def derive_num_partitions(n_rows: int | None, cpus: int,
     by_size = -(-n_rows // target_rows)
     floor_rows = max(1, n_rows // 1_000)
     return int(max(1, min(max(by_size, cpus), floor_rows)))
-
-
-def _input_rows(ds) -> int | None:
-    """Row count WITHOUT executing the pipeline: dataset metadata when the
-    plan is a bare read, else parquet footers of the input files (valid for
-    the 1:1 scoring stages).  None when neither is available — callers fall
-    back to a CPU-based default.  At extreme file counts footer reads are
-    driver-side metadata I/O; pin opts.num_output_partitions instead."""
-    try:
-        mc = ds._meta_count()
-        if mc is not None:
-            return int(mc)
-    except Exception:
-        pass
-    # Staged (map_batches-wrapped) dataset: the 1:1 scoring stages keep the
-    # row count, so the upstream Read operator's parquet metadata is the
-    # right estimate (an upstream filter would only OVERestimate, which
-    # merely makes partitions smaller — safe).
-    try:
-        op = ds._logical_plan.dag
-        while op.input_dependencies:
-            op = op.input_dependencies[0]
-        md = op.infer_metadata()
-        if md.num_rows is not None:
-            return int(md.num_rows)
-    except Exception:
-        pass
-    return None
-
-
-def _resolve_partitions(ds, opts: "PipelineOptions") -> int:
-    if opts.num_output_partitions is not None:
-        return opts.num_output_partitions
-    import ray
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return derive_num_partitions(_input_rows(ds), cpus)
 
 
 def conv_partition_ids(conv_ids: list[str], num_partitions: int) -> np.ndarray:
@@ -206,36 +171,6 @@ def _add_part_id(batch: pa.Table, num_partitions: int) -> pa.Table:
     return batch.append_column("part_id", pa.array(pids, type=pa.int32()))
 
 
-def _sort_group(batch: pa.Table) -> pa.Table:
-    batch = batch.sort_by([("conv_id", "ascending"),
-                           ("turn_idx", "ascending")])
-    return batch.drop_columns(["part_id"])
-
-
-def restore_order(ds: "ray.data.Dataset",
-                  num_partitions: int = 16) -> "ray.data.Dataset":
-    """Stable (conv_id, turn_idx) order within hash(conv_id) partitions.
-
-    groupby(part_id).map_groups — one hash exchange, then a vectorized Arrow
-    sort per partition.  Every conversation is wholly contained in one
-    partition, so per-conversation order is globally correct.
-    """
-    ds = ds.map_batches(_add_part_id, batch_format="pyarrow",
-                        fn_kwargs={"num_partitions": num_partitions})
-    return ds.groupby("part_id").map_groups(_sort_group, batch_format="pyarrow")
-
-
-def run_quality_filter(ds: "ray.data.Dataset",
-                       opts: PipelineOptions | None = None
-                       ) -> "ray.data.Dataset":
-    opts = opts or PipelineOptions()
-    nparts = _resolve_partitions(ds, opts)
-    ds = apply_stages(ds, opts)
-    if opts.restore_order:
-        ds = restore_order(ds, nparts)
-    return ds
-
-
 def conversation_rollup(ds: "ray.data.Dataset",
                         keep_threshold: float = 0.5) -> "ray.data.Dataset":
     """Conversation-level verdict from per-turn scores: dominant language
@@ -243,8 +178,8 @@ def conversation_rollup(ds: "ray.data.Dataset",
     kept-turn fraction, and a conversation keep decision
     (``keep_frac >= keep_threshold``).
 
-    Input: the scored turns Dataset from :func:`apply_stages` /
-    :func:`run_quality_filter` (needs ``conv_id``, ``lang``, ``keep``).
+    Input: the scored turns Dataset from :func:`apply_stages` (needs
+    ``conv_id``, ``lang``, ``keep``).
 
     Scale shape: each block collapses to ≤ one row per (conv_id, lang)
     BEFORE the exchange, so the shuffle carries per-language partial
@@ -396,8 +331,9 @@ def _finalize_chunk(jobs: list) -> int:
 
 
 def write_ordered(ds: "ray.data.Dataset", out_dir: str,
-                  opts: PipelineOptions | None = None) -> int:
-    """Scored dataset → order-restored partitioned parquet on disk.
+                  num_partitions: int) -> int:
+    """Scored dataset → order-restored parquet on disk, one file per
+    non-empty hash(conv_id) % ``num_partitions`` partition.
 
     Two-phase manual exchange that avoids Ray's all-to-all operators (which
     impose a full barrier and, measured on this workload, cost 2-3× the
@@ -427,13 +363,11 @@ def write_ordered(ds: "ray.data.Dataset", out_dir: str,
 
     import ray
 
-    opts = opts or PipelineOptions()
     out = Path(out_dir)
     unsorted = out / "_unsorted"
     shutil.rmtree(out, ignore_errors=True)
     ds = ds.map_batches(_add_part_id, batch_format="pyarrow",
-                        fn_kwargs={"num_partitions":
-                                   _resolve_partitions(ds, opts)})
+                        fn_kwargs={"num_partitions": num_partitions})
     ds.write_parquet(str(unsorted), partition_cols=["part_id"])
 
     jobs = []

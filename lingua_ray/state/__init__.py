@@ -1,3 +1,3 @@
-from .checkpoint import CheckpointedRun, run_with_checkpoints
+from .checkpoint import CheckpointedRun
 
-__all__ = ["CheckpointedRun", "run_with_checkpoints"]
+__all__ = ["CheckpointedRun"]

@@ -28,11 +28,12 @@ import hashlib
 import json
 import os
 import shutil
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
@@ -118,7 +119,8 @@ class CheckpointedRun:
 
         processed = []
         for wave in waves:
-            path_to_shard = {str(shards[i]): i for i in wave}
+            wave_paths = pa.array([str(shards[i]) for i in wave], pa.string())
+            wave_ids = np.asarray(wave, dtype=np.int32)
             for i in wave:
                 shutil.rmtree(self.data_dir / f"shard_id={i}",
                               ignore_errors=True)
@@ -127,11 +129,10 @@ class CheckpointedRun:
                                        columns=self.opts.input_columns,
                                        include_paths=True)
 
-            def tag(batch: pa.Table, _map=path_to_shard) -> pa.Table:
-                import numpy as np
-                sids = np.fromiter(
-                    (_map[p] for p in batch.column("path").to_pylist()),
-                    dtype=np.int32, count=batch.num_rows)
+            def tag(batch: pa.Table, _paths=wave_paths,
+                    _ids=wave_ids) -> pa.Table:
+                pos = pc.index_in(batch.column("path"), value_set=_paths)
+                sids = _ids[pos.to_numpy(zero_copy_only=False)]
                 batch = batch.drop_columns(["path"])
                 return batch.append_column("shard_id", pa.array(sids))
 
@@ -158,13 +159,14 @@ class CheckpointedRun:
             # Column-pruned metrics scan (lang histogram + keep counts).
             stats = pads.dataset([str(f) for f in files]).to_table(
                 columns=["lang", "keep"])
-            langs = Counter(stats.column("lang").to_pylist())
-            kept = sum(1 for k in stats.column("keep").to_pylist() if k)
+            counts = pc.value_counts(stats.column("lang")).to_pylist()
+            langs = {c["values"]: c["counts"] for c in counts}
+            kept = pc.sum(stats.column("keep")).as_py() or 0
         else:
             # A shard can legitimately produce zero output rows (e.g.
             # keep_only=True filters everything) — no partition dir is
             # written then; commit an empty manifest instead of crashing.
-            rows, langs, kept = 0, Counter(), 0
+            rows, langs, kept = 0, {}, 0
         manifest = {
             "shard_id": shard_id,
             "input_file": str(input_path),
@@ -182,17 +184,27 @@ class CheckpointedRun:
     def finalize_ordered(self, ordered_dir: str | Path | None = None) -> int:
         """After all shards complete: produce order-restored partitioned
         output (stable (conv_id, turn_idx) within hash(conv_id) partitions)
-        from the checkpointed shard data.  Returns rows written."""
+        from the checkpointed shard data.  The partition count is
+        ``opts.num_output_partitions``, else derived from the output rows
+        the current shards' manifests record.  Returns rows written."""
+        import ray
         import ray.data
 
-        from ..pipelines.quality_filter import write_ordered
+        from ..pipelines.quality_filter import (derive_num_partitions,
+                                                write_ordered)
 
         if self.pending_shards():
             raise RuntimeError(
                 f"cannot finalize: shards pending {self.pending_shards()}")
+        nparts = self.opts.num_output_partitions
+        if nparts is None:
+            rows = sum(json.loads(self._manifest_path(i).read_text())
+                       ["output_rows"] for i in range(len(self.shards())))
+            cpus = int(ray.cluster_resources().get("CPU", 8))
+            nparts = derive_num_partitions(rows, cpus)
         ordered_dir = Path(ordered_dir or (self.out_dir / "ordered"))
         ds = ray.data.read_parquet(str(self.data_dir))
-        return write_ordered(ds, str(ordered_dir), self.opts)
+        return write_ordered(ds, str(ordered_dir), nparts)
 
     def metrics_table(self) -> pa.Table:
         """Aggregated per-shard metrics (G3 in SURVEY.md §2.6)."""
@@ -206,12 +218,3 @@ class CheckpointedRun:
                 "kept_rows": m["kept_rows"],
             })
         return pa.Table.from_pylist(rows)
-
-
-def run_with_checkpoints(input_dir: str | Path, out_dir: str | Path,
-                         opts: PipelineOptions | None = None,
-                         wave_size: int = 8,
-                         max_waves: int | None = None) -> dict:
-    run = CheckpointedRun(Path(input_dir), Path(out_dir),
-                          opts or PipelineOptions())
-    return run.run(wave_size=wave_size, max_waves=max_waves)

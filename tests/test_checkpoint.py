@@ -21,7 +21,7 @@ def turns_dir(tmp_path_factory):
 
 
 def _opts():
-    return PipelineOptions(langid_concurrency=2, restore_order=False)
+    return PipelineOptions(langid_concurrency=2)
 
 
 def _read_sorted(data_dir):
@@ -79,6 +79,15 @@ def test_manifest_contents_and_metrics(ray_session, turns_dir, tmp_path):
     m0 = json.loads(manifests[0].read_text())
     assert m0["input_rows"] == m0["output_rows"] > 0
     assert sum(m0["lang_histogram"].values()) == m0["output_rows"]
+    # every shard's counts equal a recount of its written files
+    for sid, path in enumerate(manifests):
+        m = json.loads(path.read_text())
+        t = pads.dataset(str(run.data_dir / f"shard_id={sid}")).to_table(
+            columns=["lang", "keep"])
+        langs = t.column("lang").to_pylist()
+        assert m["kept_rows"] == t.column("keep").to_pylist().count(True)
+        assert m["lang_histogram"] == {
+            lang: langs.count(lang) for lang in sorted(set(langs))}
     metrics = run.metrics_table()
     assert metrics.num_rows == 6
     assert sum(metrics.column("output_rows").to_pylist()) == 2000
@@ -124,7 +133,6 @@ def test_options_change_invalidates_manifests(ray_session, turns_dir, tmp_path):
     assert run.pending_shards() == []
     changed = CheckpointedRun(turns_dir, out,
                               PipelineOptions(langid_concurrency=2,
-                                              restore_order=False,
                                               ppl_threshold=123.0))
     assert changed.pending_shards() == [0, 1, 2, 3, 4, 5]
 
@@ -134,8 +142,8 @@ def test_zero_output_shard_commits_empty_manifest(ray_session, turns_dir,
     """keep_only together with an impossible ppl threshold filters every
     row: the shard writes no partition dir, and the commit must record an
     empty manifest instead of crashing (round-1 ADVICE)."""
-    opts = PipelineOptions(langid_concurrency=2, restore_order=False,
-                           keep_only=True, ppl_threshold=0.0)
+    opts = PipelineOptions(langid_concurrency=2, keep_only=True,
+                           ppl_threshold=0.0)
     run = CheckpointedRun(turns_dir, tmp_path / "out_empty", opts)
     summary = run.run(wave_size=2, max_waves=1)
     assert summary["processed_shards"] == [0, 1]

@@ -125,7 +125,7 @@ _ONE_CPU_RUN = textwrap.dedent("""
     from lingua_ray.state.checkpoint import CheckpointedRun
 
     run = CheckpointedRun(turns_dir, out_dir, PipelineOptions(
-        langid_concurrency=1, num_output_partitions=2, restore_order=False))
+        langid_concurrency=1, num_output_partitions=2))
     run.run(wave_size=8)
     print(run.finalize_ordered())
     ray.shutdown()

@@ -57,3 +57,18 @@ def test_every_lingua_ray_module_has_a_program_importer():
     unreached = sorted(m for m in modules
                        if m != "lingua_ray" and m not in imported)
     assert unreached == [], f"no importer outside tests/: {unreached}"
+
+
+def test_program_uses_no_private_dataset_attributes():
+    """No program file reaches into ``ray.data.Dataset`` internals: a private
+    attribute can change or vanish in any Ray release."""
+    import ray.data
+
+    private = {a for a in dir(ray.data.Dataset)
+               if a.startswith("_") and not a.startswith("__")}
+    private |= {"_logical_plan", "_plan"}
+    hits = [f"{path.relative_to(ROOT)}:{node.lineno} .{node.attr}"
+            for path in _program_files()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in private]
+    assert hits == [], f"private Ray Dataset attributes: {hits}"

@@ -3,13 +3,14 @@ single-process oracle (same kernels, no Ray) row-for-row."""
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from conftest import needs_corpus
 from lingua_ray import models as M
 from lingua_ray.kernel import Detector
 from lingua_ray.pipelines.quality_filter import (
-    PipelineOptions, run_quality_filter)
+    PipelineOptions, apply_stages, write_ordered)
 from lingua_ray.sources.transcripts import ensure_transcripts, generate_transcripts
 from lingua_ray.stages.keep import keep_batch
 from lingua_ray.stages.quality import quality_batch
@@ -22,13 +23,21 @@ def transcripts_dir(tmp_path_factory):
     return ensure_transcripts(d, n_turns=4000, seed=42, n_shards=4)
 
 
+def _ordered(ds, out_dir, opts: PipelineOptions,
+             num_partitions: int) -> pa.Table:
+    """Scored, order-restored output of ``ds``, read back partition by
+    partition."""
+    write_ordered(apply_stages(ds, opts), str(out_dir), num_partitions)
+    return pa.concat_tables(pq.read_table(f) for f in
+                            sorted(out_dir.glob("part-*.parquet")))
+
+
 @pytest.fixture(scope="module")
-def pipeline_result(ray_session, transcripts_dir):
+def pipeline_result(ray_session, transcripts_dir, tmp_path_factory):
     ray = ray_session
     ds = ray.data.read_parquet(str(transcripts_dir))
-    out = run_quality_filter(
-        ds, PipelineOptions(langid_concurrency=2, num_output_partitions=4))
-    return out.take_batch(100_000, batch_format="pyarrow")
+    return _ordered(ds, tmp_path_factory.mktemp("ordered"),
+                    PipelineOptions(langid_concurrency=2), 4)
 
 
 def _oracle(transcripts_dir) -> pa.Table:
@@ -114,13 +123,10 @@ def test_generator_has_mega_conversation():
 
 
 @needs_corpus
-def test_pipeline_junk_input_never_crashes(ray_session):
+def test_pipeline_junk_input_never_crashes(ray_session, tmp_path):
     """Nulls, empty strings, emoji, pure punctuation through the FULL
     pipeline: junk rows get lang='un' / keep=False, never an exception."""
-    import pyarrow as pa
     import ray.data
-    from lingua_ray.pipelines.quality_filter import (PipelineOptions,
-                                                     run_quality_filter)
 
     rows = ["", None, "   ", "🎉🎉🎉", "3<856%)§", "È×∑",
             "a perfectly normal english sentence that should pass checks " * 2,
@@ -130,10 +136,8 @@ def test_pipeline_junk_input_never_crashes(ray_session):
         "turn_idx": pa.array(list(range(len(rows))), type=pa.int32()),
         "text": pa.array(rows, type=pa.large_string()),
     })
-    out = run_quality_filter(
-        ray.data.from_arrow(t),
-        PipelineOptions(langid_concurrency=2, num_output_partitions=2),
-    ).take_all()
+    out = _ordered(ray.data.from_arrow(t), tmp_path / "out",
+                   PipelineOptions(langid_concurrency=2), 2).to_pylist()
     assert len(out) == len(rows)
     by_turn = {r["turn_idx"]: r for r in out}
     for i in (0, 1, 2, 3, 4):          # junk rows

@@ -1,5 +1,6 @@
-"""Two-phase order-restoring writer: output equals the groupby-based
-restore_order path, with stable (conv_id, turn_idx) order per partition."""
+"""Two-phase order-restoring writer: a hash(conv_id) partitioned write,
+then one sorted file per partition, with stable (conv_id, turn_idx) order
+and every conversation inside one partition."""
 
 import pyarrow.dataset as pads
 
@@ -12,10 +13,10 @@ def test_write_ordered(ray_session, tmp_path):
     ray = ray_session
     turns = ensure_transcripts(tmp_path / "turns", n_turns=3000, seed=42,
                                n_shards=4)
-    opts = PipelineOptions(langid_concurrency=2, num_output_partitions=8)
+    opts = PipelineOptions(langid_concurrency=2)
     ds = ray.data.read_parquet(str(turns))
     out_dir = tmp_path / "out"
-    rows = write_ordered(apply_stages(ds, opts), str(out_dir), opts)
+    rows = write_ordered(apply_stages(ds, opts), str(out_dir), 8)
     assert rows == 3000
 
     files = sorted(out_dir.glob("part-*.parquet"))
@@ -106,15 +107,13 @@ def test_write_ordered_empty_input(ray_session, tmp_path):
     directory, not a crash."""
     import pyarrow as pa
     import ray.data
-    from lingua_ray.pipelines.quality_filter import (PipelineOptions,
-                                                     write_ordered)
+    from lingua_ray.pipelines.quality_filter import write_ordered
     t = pa.table({
         "conv_id": pa.array([], type=pa.string()),
         "turn_idx": pa.array([], type=pa.int32()),
         "text": pa.array([], type=pa.large_string()),
     })
-    rows = write_ordered(ray.data.from_arrow(t), str(tmp_path / "out"),
-                         PipelineOptions(num_output_partitions=4))
+    rows = write_ordered(ray.data.from_arrow(t), str(tmp_path / "out"), 4)
     assert rows == 0
 
 
@@ -136,22 +135,21 @@ def test_derive_num_partitions():
 
 
 def test_write_ordered_derives_partitions(ray_session, tmp_path):
-    """num_output_partitions=None derives from input size and still yields
-    a correct, fully-ordered output."""
+    """num_output_partitions=None derives the count from the rows the
+    checkpoint manifests record and still yields a correct, fully-ordered
+    output."""
     import pyarrow.parquet as pq
 
-    from lingua_ray.pipelines.quality_filter import (PipelineOptions,
-                                                     apply_stages,
-                                                     write_ordered)
-    ray = ray_session
+    from lingua_ray.state.checkpoint import CheckpointedRun
+
     turns = ensure_transcripts(tmp_path / "turns2", n_turns=3000, seed=7,
                                n_shards=4)
     opts = PipelineOptions(langid_concurrency=2)  # derive (None default)
-    ds = ray.data.read_parquet(str(turns))
-    out_dir = tmp_path / "out2"
-    rows = write_ordered(apply_stages(ds, opts), str(out_dir), opts)
+    run = CheckpointedRun(turns, tmp_path / "out2", opts)
+    run.run(wave_size=4)
+    rows = run.finalize_ordered()
     assert rows == 3000
-    files = sorted(out_dir.glob("part-*.parquet"))
+    files = sorted((tmp_path / "out2" / "ordered").glob("part-*.parquet"))
     # 3000 rows -> derivation caps at 3 partitions regardless of CPUs
     assert 1 <= len(files) <= 3
     assert sum(pq.ParquetFile(f).metadata.num_rows for f in files) == 3000

@@ -69,7 +69,6 @@ def main() -> None:
         langid_concurrency=args.concurrency,
         num_output_partitions=args.partitions,
         keep_only=args.keep_only,
-        restore_order=False,  # ordering happens in finalize_ordered
         **kwargs,
     )
     run = CheckpointedRun(Path(args.input), Path(args.output), opts)
