@@ -2604,7 +2604,7 @@ def _q_simhash(sf_dir: str):
 
 def _q_embedding_centroid_by_label(sf_dir: str):
     """Per-label mean embedding (the class-centroid reduction behind
-    IVF training, near-dup thresholds, and cluster profiling): one
+    k-means training, near-dup thresholds, and cluster profiling): one
     map_batches combiner emits (label, sum-vector, count) partials — a
     |labels| × dim matrix per block, never the embeddings — and a tiny
     groupby finishes.  Output unnested to (label, dim, centroid) rows,
@@ -2731,83 +2731,11 @@ def _q_embedding_inference(sf_dir: str):
     return out.select_columns(["vec_id", "score"])
 
 
-def _q_knn_lsh(sf_dir: str):
-    """LSH-pruned approximate top-10 around the vec_id=0 embedding —
-    multi-probe: scans buckets within Hamming radius 2 of the query's
-    6-bit sign bucket (~34% of the data) before exact scoring.
-    [rows-only; pytest gates multi-probe semantics + recall]"""
-    from lingua_ray.stages.ann import knn_lsh
-    q = _query_vector(sf_dir)
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    return knn_lsh(ds, q, dim=len(q), k=10, n_planes=6,
-                   hamming_radius=2).select(["vec_id"])
-
-
-def _q_knn_ivf(sf_dir: str):
-    """IVF approximate top-10 around the vec_id=0 embedding — coarse
-    quantizer trained on a bounded sample, vectors assigned to centroid
-    lists in map_batches, only the 6 / 16 lists nearest the query scanned.
-    [rows-only; pytest gates recall on clustered fixtures]"""
-    from lingua_ray.stages.ann import ivf_knn
-    q = _query_vector(sf_dir)
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    return ivf_knn(ds, q, k=10, n_list=16, n_probe=6).select(["vec_id"])
-
-
-def _q_knn_pq(sf_dir: str):
-    """Product-quantization ANN with exact reranking (ADC+R, Jégou et
-    al. TPAMI 2011 + ICASSP 2011) around the vec_id=0 embedding:
-    codebooks trained on a bounded sample, corpus encoded to 8-byte
-    codes in an actor pool (32× smaller than the float vectors), ADC
-    table-lookup scan for a 100-candidate shortlist, exact cosine rerank
-    of the shortlist to top-10.  [rows-only — quantized shortlists are
-    approximate by construction; recall-vs-bruteforce floor + encoder
-    determinism + residual-IVFPQ variant gated in test_dedup_ann.py]"""
-    from lingua_ray.stages.ann import knn_pq
-    q = _query_vector(sf_dir)
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    return knn_pq(ds, q, k=10, m_sub=8, n_codes=64,
-                  rerank=100).select(["vec_id"])
-
-
-def _q_knn_ivfpq(sf_dir: str):
-    """IVFADC (coarse k-means + PQ over residuals, TPAMI 2011 §IV) with
-    exact reranking: vectors collapse to (list_id, 8-byte residual code),
-    queries ADC-scan only n_probe/n_list of the codes for a shortlist,
-    then rerank exactly.  The production ANN shape at 100 TB — floats
-    touched once at encode, per-query cost bounded by pruning ×
-    compression.  [rows-only; residual-recall pytest in
-    test_dedup_ann.py]"""
-    from lingua_ray.stages.ann import knn_ivfpq
-    q = _query_vector(sf_dir)
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    return knn_ivfpq(ds, q, k=10, n_list=8, n_probe=4, m_sub=8,
-                     n_codes=64, rerank=100).select(["vec_id"])
-
-
-def _q_knn_ivf_persisted(sf_dir: str):
-    """Persisted IVF: index built once as list_id-partitioned parquet,
-    probe = partition-pruned read of n_probe/n_list of the index + exact
-    scoring.  Same id-set contract as knn_bruteforce at this clustered-
-    free scale when n_probe covers the mass.  [rows-only: filesystem
-    index not SQL-expressible; recall gated in test_ivf_persisted.py]"""
-    import hashlib
-    from lingua_ray.stages.ann import ivf_build_index, ivf_query_index
-    tag = hashlib.md5(sf_dir.encode()).hexdigest()[:8]
-    idx = f"/tmp/lingua_ray/ivf-{tag}"
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    ivf_build_index(ds, idx, n_list=8)
-    q = _query_vector(sf_dir)
-    out = ivf_query_index(idx, q, k=10, n_probe=4)
-    return out.select(["vec_id", "cos"])
-
-
 def _q_embedding_kmeans_sizes(sf_dir: str):
-    """IVF coarse-quantizer cluster profile: deterministic spherical
+    """Cluster profile of the embedding table: deterministic spherical
     k-means on a bounded sample, whole-corpus centroid assignment inside
-    map_batches, per-list counts.  The persisted form of this assignment
-    (list_id partition column) is what makes IVF probe a partition-
-    pruned read.  [rows-only: k-means is not SQL-expressible; the
+    map_batches, per-cluster counts — the clustering semantic_dedup
+    pairs within.  [rows-only: k-means is not SQL-expressible; the
     quantizer is pytest-verified in test_dedup_ann.py]"""
     import ray
     from lingua_ray.stages.ann import (IvfAssigner, _embedding_matrix,
@@ -5055,12 +4983,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # quantiles, plus DAU / conv-duration / daily-anomaly-zscore /
     # source-lang-entropy), padded to 50 with the 4 stalest greens (last
     # driver-checked in round 1 or 2).  With this window green, every
-    # one of the 168 registered queries has at least one driver-green
-    # row across rounds (cross-round union 168/168).
+    # query registered then had a green check in some round.  The
+    # registry now holds 161 queries, 132 of them SQL-verified
+    # (``oracle_sql``).
     # Rows-only queries are the langid/model family (not SQL-expressible;
-    # gated by the pytest kernel-vs-scalar suite) and the approximate
-    # sketches / ANN entries (each has an exact SQL-verified twin or a
-    # recall/planted-pair pytest gate).
+    # gated by the pytest kernel-vs-scalar suite), the approximate
+    # sketches (each has an exact SQL-verified twin) and the embedding
+    # near-dup / k-means entries (planted-pair pytest gates).
     return {
         # ---- never driver-checked, SQL-verified (round-5 window head) ----
         "corpus_datacard": _q_corpus_datacard,
@@ -5087,15 +5016,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "conv_quality_rollup": _q_conv_quality_rollup,
         "neardup_indexed": _q_neardup_indexed,
         "linear_probe_train": _q_linear_probe_train,
-        "knn_lsh": _q_knn_lsh,
-        "knn_ivf": _q_knn_ivf,
         "embedding_kmeans_sizes": _q_embedding_kmeans_sizes,
-        "knn_ivf_persisted": _q_knn_ivf_persisted,
         "distinct_words_hll": _q_distinct_words_hll,
         "distinct_words_by_lang_hll": _q_distinct_words_by_lang_hll,
         "semantic_dedup": _q_semantic_dedup,
-        "knn_pq": _q_knn_pq,
-        "knn_ivfpq": _q_knn_ivfpq,
         # ---- new in round 5, SQL-verified (never checked by design) ----
         "dedup_keep_best": _q_dedup_keep_best,
         "pii_leak_report": _q_pii_leak_report,

@@ -123,7 +123,7 @@ def run_queries(sf_dir: str, repeat: int = 2) -> dict[str, float]:
     timings: dict[str, float] = {}
     bench_queries = ["langid_documents", "doc_quality", "doc_scrub",
                      "doc_tokens", "dedup_exact", "dedup_minhash",
-                     "dedup_clusters", "simhash", "knn_bruteforce", "knn_ivf", "lang_hist",
+                     "dedup_clusters", "simhash", "knn_bruteforce", "lang_hist",
                      "events_sessions", "orders_by_segment",
                      "ngram_counts", "train_ngrams", "contamination",
                      "stratified_sample", "doc_tfidf", "corpus_mix",
@@ -149,10 +149,9 @@ def run_queries(sf_dir: str, repeat: int = 2) -> dict[str, float]:
                      "transcript_turn_gaps",
                      "transcript_role_transitions", "inverted_index",
                      # late-round-4 transcript additions + semantic dedup
-                     # + PQ similarity search
                      "transcript_tool_chains", "conv_context_truncate",
                      "conv_role_balance", "transcript_contamination",
-                     "semantic_dedup", "knn_pq", "knn_ivfpq",
+                     "semantic_dedup",
                      "transcript_loop_detect", "turn_context_window",
                      "conv_pack_assign", "transcript_sessionize",
                      "conv_exchange_extract",

@@ -239,18 +239,6 @@ def langs_to_mask(indices) -> np.ndarray:
     return mask
 
 
-def mask_to_langs(mask: np.ndarray) -> list[int]:
-    """uint64[2] bitmask → sorted language index list."""
-    out = []
-    for half in (0, 1):
-        bits = int(mask[half])
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1 + 64 * half)
-            bits ^= low
-    return out
-
-
 # Languages that possess unique characters, declaration order
 # (api/LanguageDetector.kt:81-83).
 LANGUAGES_WITH_UNIQUE_CHARS: tuple[int, ...] = tuple(

@@ -1,18 +1,18 @@
 """Similarity search over embedding columns (``list<float>``).
 
-* **Brute-force cosine top-k** — the baseline: per-batch NumPy matmul
-  against a broadcast query matrix (closure-captured / ``ray.put`` once —
-  never re-shipped per batch), local top-k inside ``map_batches``, tiny
-  global reduce at the driver.  Scales as a single streaming pass.
-* **Multi-probe sign-LSH kNN** — prune to the query's bucket neighborhood
-  (Hamming radius r of an n-plane sign bucket) before exact scoring.
-* **IVF kNN** — the general scale path: spherical-k-means coarse quantizer
-  trained on a bounded sample, per-vector list assignment in
-  ``map_batches``, scan only the n_probe lists nearest the query.
+* **Brute-force cosine top-k** — the one nearest-neighbour search, exact
+  and checked against DuckDB's ``list_cosine_similarity``: per-batch
+  NumPy matmul against a broadcast query matrix (closure-captured /
+  ``ray.put`` once — never re-shipped per batch), local top-k inside
+  ``map_batches``, one small per-query top-k reduce.  Scales as a single
+  streaming pass.
 * **Embedding near-duplicate detection** — banded hyperplane LSH with
   size-scaled bits per band (``choose_lsh_params``), bounded in-bucket
   pairing (all-pairs below a cap, pivot-linking above), cross-band pair
   dedup via ``groupby(pair).max(cos)``.
+* **Spherical k-means clustering** — a coarse quantizer trained on a
+  bounded sample, per-vector cluster assignment in ``map_batches``
+  (``IvfAssigner``); the clusters bound SemDeDup's pairwise work.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ def hyperplanes(dim: int, n_planes: int = 16) -> np.ndarray:
     return rng.standard_normal((n_planes, dim))
 
 
-def bucket_ids(m: np.ndarray, planes: np.ndarray) -> np.ndarray:
-    bits = (m @ planes.T) > 0
-    weights = (1 << np.arange(planes.shape[0], dtype=np.int64))
-    return (bits.astype(np.int64) * weights).sum(axis=1).astype(np.int32)
-
-
 class BruteForceTopK:
     """map_batches task: local top-k cosine rows against the query matrix."""
 
@@ -61,7 +55,7 @@ class BruteForceTopK:
         self.col = col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:   # LSH/IVF pruning can empty a block
+        if batch.num_rows == 0:   # an upstream filter can empty a block
             return pa.table({
                 self.id_col: batch.column(self.id_col).slice(0, 0),
                 "query_id": pa.array([], type=pa.int32()),
@@ -122,45 +116,6 @@ def knn_bruteforce(ds, query: np.ndarray, k: int = 10,
         "query_id": pa.array(qid[order].astype(np.int32)),
         "cos": pa.array(cos[order], type=pa.float64()),
     })
-
-
-def add_lsh_bucket(batch: pa.Table, dim: int, n_planes: int = 16,
-                   col: str = "embedding") -> pa.Table:
-    if batch.num_rows == 0:
-        return batch.append_column("bucket",
-                                   pa.array([], type=pa.int32()))
-    m = _embedding_matrix(batch, col)
-    planes = hyperplanes(dim, n_planes)
-    return batch.append_column("bucket", pa.array(bucket_ids(m, planes)))
-
-
-def knn_lsh(ds, query: np.ndarray, dim: int, k: int = 10,
-            n_planes: int = 8, id_col: str = "vec_id",
-            hamming_radius: int = 1) -> pa.Table:
-    """LSH-pruned top-k: score only vectors whose sign-bucket is within
-    ``hamming_radius`` of the query's bucket (multi-probe).  Scanned
-    fraction ≈ Σ_{i≤r} C(n_planes, i) / 2^n_planes; raise the radius (or
-    lower n_planes) to trade scan cost for recall — sign LSH recall decays
-    fast for neighbors that are only moderately similar."""
-    from itertools import combinations
-    planes = hyperplanes(dim, n_planes)
-    qb = int(bucket_ids(np.atleast_2d(query), planes)[0])
-    near = {qb}
-    for r in range(1, hamming_radius + 1):
-        for flips in combinations(range(n_planes), r):
-            m = 0
-            for i in flips:
-                m |= 1 << i
-            near.add(qb ^ m)
-    near_arr = np.array(sorted(near), dtype=np.int32)
-
-    def prune(batch: pa.Table) -> pa.Table:
-        b = add_lsh_bucket(batch, dim, n_planes)
-        mask = np.isin(b.column("bucket").to_numpy(), near_arr)
-        return b.filter(pa.array(mask))
-
-    pruned = ds.map_batches(prune, batch_format="pyarrow")
-    return knn_bruteforce(pruned, query, k, id_col)
 
 
 def choose_lsh_params(n: int, threshold: float = 0.95,
@@ -274,16 +229,15 @@ def embedding_neardup(ds, dim: int, n: int, threshold: float = 0.95,
     return out.rename_columns({"max(cos)": "cos"})
 
 
-# ------------------------------------------------------------------ IVF path
+# ---------------------------------------------------- k-means clusters
 
 def spherical_kmeans(sample: np.ndarray, n_list: int, iters: int = 10,
                      seed: int = 4242) -> np.ndarray:
     """Deterministic spherical k-means over a driver-side sample.
 
     Returns L2-normalized centroids (n_list, dim).  The sample is small
-    (training an IVF coarse quantizer needs ~10-100 vectors per centroid,
-    independent of corpus size); the big table is never pulled to the
-    driver."""
+    (a coarse quantizer needs ~10-100 vectors per centroid, independent
+    of corpus size); the big table is never collected in one process."""
     x = _normalize(np.asarray(sample, dtype=np.float64))
     rng = np.random.RandomState(seed)
     n_list = min(n_list, len(x))
@@ -299,8 +253,8 @@ def spherical_kmeans(sample: np.ndarray, n_list: int, iters: int = 10,
 
 
 class IvfAssigner:
-    """Actor-pool stage: append ``list_id`` = nearest centroid (one matmul
-    per batch).  Centroids load once per actor in ``__init__`` — at scale
+    """Actor-pool stage: append ``list_id`` = the vector's k-means cluster,
+    its nearest centroid (one matmul per batch).  Centroids load once per actor in ``__init__`` — at scale
     pass them via ``ray.put`` and feed the ObjectRef through
     ``fn_constructor_kwargs`` so each node fetches them once."""
 
@@ -318,139 +272,6 @@ class IvfAssigner:
         m = _normalize(_embedding_matrix(batch, self.col))
         assign = np.argmax(m @ self.c.T, axis=1).astype(np.int32)
         return batch.append_column("list_id", pa.array(assign))
-
-
-def ivf_knn(ds, query: np.ndarray, k: int = 10, n_list: int = 16,
-            n_probe: int = 4, id_col: str = "vec_id",
-            col: str = "embedding", train_sample: int = 4096) -> pa.Table:
-    """IVF approximate top-k: train a coarse quantizer on a bounded sample,
-    assign each vector to its nearest centroid inside ``map_batches``, scan
-    only the ``n_probe`` lists nearest the query, exact-score the rest.
-
-    Scanned fraction ≈ n_probe / n_list regardless of corpus size.  In a
-    persisted deployment the ``list_id`` assignment is written once as a
-    partition column (write_parquet(partition_cols=["list_id"])) and the
-    probe filter becomes a partition-pruned read."""
-    sample_tab = ds.limit(train_sample).take_batch(
-        train_sample, batch_format="pyarrow")
-    sample = _embedding_matrix(sample_tab, col)
-    c = spherical_kmeans(sample, n_list)
-    qn = _normalize(np.atleast_2d(np.asarray(query, dtype=np.float64)))[0]
-    probe = np.argsort(-(c @ qn))[:n_probe].astype(np.int32)
-    probe_set = np.sort(probe)
-
-    assigner = IvfAssigner(c, col)
-
-    def prune(batch: pa.Table) -> pa.Table:
-        b = assigner(batch)
-        mask = np.isin(b.column("list_id").to_numpy(), probe_set)
-        return b.filter(pa.array(mask))
-
-    pruned = ds.map_batches(prune, batch_format="pyarrow")
-    return knn_bruteforce(pruned, query, k, id_col)
-
-
-def ivf_build_index(ds, out_dir: str, n_list: int = 16,
-                    col: str = "embedding", train_sample: int = 4096):
-    """Persist the IVF layout: vectors written as parquet PARTITIONED BY
-    ``list_id`` (one directory per inverted list), centroids saved next
-    to them.  Build cost is one quantizer training on a bounded sample +
-    one streaming assignment pass + the partitioned write; at 100 TB
-    each list directory is written by many tasks in parallel and is
-    independently resumable.
-
-    Returns the centroid matrix.
-    """
-    import shutil
-    from pathlib import Path
-
-    import ray
-
-    out = Path(out_dir)
-    shutil.rmtree(out, ignore_errors=True)
-    out.mkdir(parents=True, exist_ok=True)
-    sample_tab = ds.limit(train_sample).take_batch(
-        train_sample, batch_format="pyarrow")
-    c = spherical_kmeans(_embedding_matrix(sample_tab, col), n_list)
-    np.save(str(out / "centroids.npy"), c)
-    _ivf_assign_and_write(ds, out, c, col)
-    return c
-
-
-def _ivf_assign_and_write(ds, out, centroids: np.ndarray,
-                          col: str) -> None:
-    """The single copy of the index write layout — build and append both
-    route through it so the partition scheme can never diverge."""
-    import ray
-
-    assigned = ds.map_batches(
-        IvfAssigner, batch_format="pyarrow", concurrency=(1, 4),
-        fn_constructor_kwargs={"centroids": ray.put(centroids),
-                               "col": col})
-    assigned.write_parquet(str(out / "lists"),
-                           partition_cols=["list_id"])
-
-
-def ivf_append_index(ds, index_dir: str, col: str = "embedding") -> None:
-    """Add new vectors to a persisted IVF index: assign with the SAVED
-    centroids (the quantizer is frozen at build time — the standard IVF
-    contract) and append files inside the existing list partitions.
-    Nothing is rewritten; a crash mid-append leaves a smaller-but-valid
-    index, and re-appending the same vectors only duplicates candidates
-    for the exact re-scoring stage, never corrupts results."""
-    from pathlib import Path
-
-    out = Path(index_dir)
-    c = np.load(str(out / "centroids.npy"))
-    _ivf_assign_and_write(ds, out, c, col)
-
-
-def ivf_query_index(index_dir: str, query: np.ndarray, k: int = 10,
-                    n_probe: int = 4, id_col: str = "vec_id",
-                    col: str = "embedding") -> pa.Table:
-    """Probe a persisted IVF index: only the ``n_probe`` list
-    PARTITIONS nearest the query are read from storage (directory
-    pruning — the scan I/O is ~n_probe/n_list of the index, the other
-    lists never leave disk), then exact-scored.
-    """
-    from pathlib import Path
-
-    import ray.data
-
-    out = Path(index_dir)
-    c = np.load(str(out / "centroids.npy"))
-    qn = _normalize(np.atleast_2d(np.asarray(query, dtype=np.float64)))[0]
-    probe = np.argsort(-(c @ qn))[:n_probe]
-    paths = [str(f) for p in probe
-             for f in sorted((out / "lists"
-                              / f"list_id={int(p)}").glob("*.parquet"))]
-    if not paths:   # same schema as the non-empty knn_bruteforce path
-        return pa.table({id_col: pa.array([], pa.int64()),
-                         "query_id": pa.array([], pa.int32()),
-                         "cos": pa.array([], pa.float64())})
-    ds = ray.data.read_parquet(paths)
-    # over-fetch then dedup per id: crash-retry (or repeated) appends can
-    # leave a vector's row 2+ times in a list partition, and duplicate
-    # ids must not crowd unique ids out of the top-k.  2k covers the
-    # single-retry case; unbounded re-appends are covered by doubling the
-    # fetch until every query has k unique ids or its probed lists are
-    # exhausted (a query with fewer candidate rows than `fetch` has no
-    # more ids to find).  Dedup volume is the driver-side top-k table.
-    fetch = 2 * k
-    while True:
-        t = knn_bruteforce(ds, query, fetch, id_col, col=col)
-        df = t.to_pandas().sort_values(
-            ["query_id", "cos", id_col], ascending=[True, False, True])
-        n_rows = df.groupby("query_id").size()
-        dd = df.drop_duplicates(["query_id", id_col])
-        n_unique = dd.groupby("query_id").size()
-        starved = (n_unique < k) & (n_rows >= fetch)
-        if not starved.any():
-            break
-        fetch *= 2
-    df = dd.groupby("query_id", sort=True).head(k)
-    return pa.Table.from_pandas(df[[c_ for c_ in t.column_names]],
-                                preserve_index=False)
 
 
 # ------------------------------------------------------------------ SemDeDup
@@ -551,349 +372,3 @@ def semdedup_group(batch: pa.Table, threshold: float = 0.95,
         "cent_cos": pa.array(cent.astype(np.float64), pa.float64()),
         "keep": pa.array(first, pa.bool_()),
     })
-
-
-# ------------------------------------------------- Product Quantization (PQ)
-
-_PQ_SEED = 4099
-
-
-def pq_train(sample: np.ndarray, m_sub: int = 8, n_codes: int = 256,
-             iters: int = 12, seed: int = _PQ_SEED) -> np.ndarray:
-    """Per-subspace k-means codebooks (Jegou, Douze & Schmid, "Product
-    Quantization for Nearest Neighbor Search", TPAMI 2011, SS II): the
-    d-dim space splits into ``m_sub`` contiguous subspaces and each gets
-    an independent L2 k-means codebook of ``n_codes`` sub-centroids.
-    Returns ``(m_sub, n_codes, d // m_sub)`` float64.  Deterministic
-    (seeded init, reseed-on-empty), trained on a BOUNDED sample — at
-    100 TB the train pass never sees the corpus.
-    """
-    n, d = sample.shape
-    if d % m_sub:
-        raise ValueError(f"dim {d} not divisible by m_sub {m_sub}")
-    dsub = d // m_sub
-    k = min(n_codes, n)
-    rng = np.random.RandomState(seed)
-    books = np.zeros((m_sub, k, dsub))
-    for m in range(m_sub):
-        x = sample[:, m * dsub:(m + 1) * dsub]
-        c = x[rng.choice(n, size=k, replace=False)].copy()
-        for _ in range(iters):
-            d2 = ((x * x).sum(1)[:, None] - 2.0 * (x @ c.T)
-                  + (c * c).sum(1)[None, :])
-            a = d2.argmin(1)
-            sums = np.zeros((k, dsub))
-            np.add.at(sums, a, x)
-            cnt = np.bincount(a, minlength=k)
-            nz = cnt > 0
-            c[nz] = sums[nz] / cnt[nz, None]
-            if (~nz).any():          # dead code: reseed to random points
-                c[~nz] = x[rng.choice(n, size=int((~nz).sum()))]
-        books[m] = c
-    return books
-
-
-def pq_assign(m: np.ndarray, books: np.ndarray) -> np.ndarray:
-    """uint8 codes ``(n, m_sub)``: nearest sub-centroid per subspace."""
-    m_sub, k, dsub = books.shape
-    codes = np.zeros((m.shape[0], m_sub), dtype=np.uint8)
-    for j in range(m_sub):
-        x = m[:, j * dsub:(j + 1) * dsub]
-        c = books[j]
-        d2 = ((x * x).sum(1)[:, None] - 2.0 * (x @ c.T)
-              + (c * c).sum(1)[None, :])
-        codes[:, j] = d2.argmin(1).astype(np.uint8)
-    return codes
-
-
-def _codes_matrix(arr: pa.Array, m_sub: int) -> np.ndarray:
-    """Zero-copy view of a fixed_size_binary(m_sub) column as (n, m_sub)."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    data = np.frombuffer(arr.buffers()[1], dtype=np.uint8)
-    lo = arr.offset * m_sub
-    return data[lo:lo + len(arr) * m_sub].reshape(len(arr), m_sub)
-
-
-class PQEncoder:
-    """Actor-pool stage: embeddings -> PQ codes.  The codebooks ride a
-    ``ray.put`` ObjectRef fetched ONCE per actor; each float vector
-    collapses to ``m_sub`` bytes (dim 64 float32 -> 8 B: 32x), the
-    compression that lets a 100 TB embedding corpus fit a cluster's RAM
-    for scanning.  Vectors are L2-normalized first so inner-product ADC
-    scores approximate cosine."""
-
-    def __init__(self, books_ref, id_col: str = "vec_id",
-                 col: str = "embedding"):
-        import ray
-        self.books = (ray.get(books_ref)
-                      if not isinstance(books_ref, np.ndarray) else books_ref)
-        self.id_col, self.col = id_col, col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m_sub = self.books.shape[0]
-        code_t = pa.binary(m_sub)
-        if batch.num_rows == 0:
-            return pa.table({self.id_col: batch.column(self.id_col),
-                             "code": pa.array([], type=code_t)})
-        m = _normalize(_embedding_matrix(batch, self.col))
-        codes = np.ascontiguousarray(pq_assign(m, self.books))
-        arr = pa.Array.from_buffers(code_t, len(codes),
-                                    [None, pa.py_buffer(codes.tobytes())])
-        return pa.table({self.id_col: batch.column(self.id_col),
-                         "code": arr})
-
-
-class PQTopK:
-    """ADC scan (asymmetric distance computation, TPAMI 2011 SS III.B):
-    per query the ``(m_sub, n_codes)`` inner-product table against the
-    codebooks is built once in ``__init__``; scoring a block of codes is
-    ``m_sub`` vectorized uint8 gathers + adds — no float vectors are ever
-    touched on the scan path.  Emits local top-k rows per query for the
-    distributed per-query reduce."""
-
-    def __init__(self, books_ref, query: np.ndarray, k: int = 10,
-                 id_col: str = "vec_id"):
-        import ray
-        books = (ray.get(books_ref)
-                 if not isinstance(books_ref, np.ndarray) else books_ref)
-        q = _normalize(np.atleast_2d(np.asarray(query, dtype=np.float64)))
-        m_sub, _, dsub = books.shape
-        # tables[j] : (n_q, n_codes) inner products for subspace j
-        self.tables = np.stack([
-            q[:, j * dsub:(j + 1) * dsub] @ books[j].T
-            for j in range(m_sub)])
-        self.m_sub, self.k, self.id_col = m_sub, k, id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n_q = self.tables.shape[1]
-        if batch.num_rows == 0:
-            return pa.table({self.id_col: batch.column(self.id_col),
-                             "query_id": pa.array([], type=pa.int32()),
-                             "score": pa.array([], type=pa.float64())})
-        codes = _codes_matrix(batch.column("code"), self.m_sub)
-        ids = batch.column(self.id_col).to_numpy()
-        s = np.zeros((n_q, len(codes)))
-        for j in range(self.m_sub):
-            s += self.tables[j][:, codes[:, j]]
-        out_ids, out_q, out_s = [], [], []
-        for qi in range(n_q):
-            k = min(self.k, len(ids))
-            top = np.argpartition(-s[qi], k - 1)[:k] if k else \
-                np.zeros(0, int)
-            out_ids.append(ids[top])
-            out_q.append(np.full(k, qi, dtype=np.int32))
-            out_s.append(s[qi][top])
-        return pa.table({
-            self.id_col: pa.array(np.concatenate(out_ids)),
-            "query_id": pa.array(np.concatenate(out_q)),
-            "score": pa.array(np.concatenate(out_s), type=pa.float64())})
-
-
-def _score_topk_reduce(partial, k: int, id_col: str) -> pa.Table:
-    """Distributed per-query top-k over (id, query_id, score) partials —
-    the same O(k)-rows-to-driver reduce knn_bruteforce uses."""
-
-    def topk_group(group: pa.Table) -> pa.Table:
-        ids = group.column(id_col).to_numpy()
-        sc = group.column("score").to_numpy()
-        qid = group.column("query_id").to_numpy()
-        order = np.lexsort((ids, -sc))[:k]
-        return pa.table({id_col: pa.array(ids[order]),
-                         "query_id": pa.array(qid[order]),
-                         "score": pa.array(sc[order], type=pa.float64())})
-
-    rows = partial.groupby("query_id").map_groups(
-        topk_group, batch_format="pyarrow").take_all()
-    if not rows:
-        return pa.table({id_col: pa.array([], type=pa.int64()),
-                         "query_id": pa.array([], type=pa.int32()),
-                         "score": pa.array([], type=pa.float64())})
-    ids = np.array([r[id_col] for r in rows])
-    qid = np.array([r["query_id"] for r in rows])
-    sc = np.array([r["score"] for r in rows])
-    order = np.lexsort((ids, -sc, qid))
-    return pa.table({id_col: pa.array(ids[order]),
-                     "query_id": pa.array(qid[order].astype(np.int32)),
-                     "score": pa.array(sc[order], type=pa.float64())})
-
-
-def _exact_rerank(ds, query: np.ndarray, shortlist: pa.Table, k: int,
-                  id_col: str, col: str) -> pa.Table:
-    """ADC+R second stage (Jegou, Tavenard, Douze & Amsaleg, "Searching
-    in one billion vectors: re-rank with source coding", ICASSP 2011):
-    exact-score only the PQ shortlist.  Here the shortlist filter is a
-    block-local ``np.isin`` against the tiny broadcast id set during one
-    more scan of (id, embedding); a persisted deployment keeps the float
-    table sorted by id so this becomes a point read of R rows instead of
-    a pass (the ivf_query_index layout)."""
-    ids = np.unique(shortlist.column(id_col).to_numpy())
-
-    def prune(batch: pa.Table) -> pa.Table:
-        mask = np.isin(batch.column(id_col).to_numpy(), ids)
-        return batch.filter(pa.array(mask))
-
-    return knn_bruteforce(ds.map_batches(prune, batch_format="pyarrow"),
-                          query, k, id_col, col)
-
-
-def knn_pq(ds, query: np.ndarray, k: int = 10, m_sub: int = 8,
-           n_codes: int = 256, sample_size: int = 4096,
-           id_col: str = "vec_id", col: str = "embedding",
-           rerank: int | None = None) -> pa.Table:
-    """End-to-end PQ approximate top-k: train codebooks on a bounded
-    sample, encode the corpus in an actor pool (codes are m_sub bytes per
-    vector), ADC-scan the codes, and reduce with the same distributed
-    per-query top-k as knn_bruteforce (driver receives O(k) rows per
-    query).  At scale the codebooks broadcast once (KBs), the only full
-    pass over float vectors is the one encode, and every subsequent
-    query scans codes 32x smaller than the raw embeddings.
-
-    Plain PQ ranks at codebook granularity: fine for separating coarse
-    structure and near-copies, coarse WITHIN a tight cluster — for
-    in-cluster ranking use :func:`knn_ivfpq` (residual quantization),
-    and for high recall on unstructured data pass ``rerank=R`` to
-    exact-rerank the R-candidate ADC shortlist (see _exact_rerank).
-    """
-    import ray
-
-    sample = _normalize(_embedding_matrix(
-        ds.limit(sample_size).take_batch(sample_size,
-                                         batch_format="pyarrow"), col))
-    books = pq_train(sample, m_sub=m_sub, n_codes=n_codes)
-    ref = ray.put(books)
-    codes = ds.map_batches(
-        PQEncoder, batch_format="pyarrow", concurrency=(1, 4),
-        fn_constructor_kwargs={"books_ref": ref, "id_col": id_col,
-                               "col": col})
-    partial = codes.map_batches(
-        PQTopK, batch_format="pyarrow", concurrency=(1, 4),
-        fn_constructor_kwargs={"books_ref": ref, "query": query,
-                               "k": rerank or k, "id_col": id_col})
-    short = _score_topk_reduce(partial, rerank or k, id_col)
-    if not rerank:
-        return short
-    return _exact_rerank(ds, query, short, k, id_col, col)
-
-
-class IvfPqEncoder:
-    """Actor-pool stage for IVFADC (TPAMI 2011 SS IV): each vector gets
-    its nearest coarse centroid's ``list_id`` plus a PQ code of the
-    RESIDUAL ``x - c_list`` — residual quantization is what makes ranking
-    inside a tight cluster meaningful (the codebooks learn intra-cluster
-    variation instead of re-learning cluster positions).  State (coarse
-    centroids + residual codebooks) rides one ``ray.put`` ref."""
-
-    def __init__(self, state_ref, id_col: str = "vec_id",
-                 col: str = "embedding"):
-        import ray
-        state = (ray.get(state_ref)
-                 if isinstance(state_ref, ray.ObjectRef) else state_ref)
-        self.cent, self.books = state
-        self.id_col, self.col = id_col, col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m_sub = self.books.shape[0]
-        code_t = pa.binary(m_sub)
-        if batch.num_rows == 0:
-            return pa.table({self.id_col: batch.column(self.id_col),
-                             "list_id": pa.array([], type=pa.int32()),
-                             "code": pa.array([], type=code_t)})
-        m = _normalize(_embedding_matrix(batch, self.col))
-        lid = np.argmax(m @ self.cent.T, axis=1).astype(np.int32)
-        codes = np.ascontiguousarray(
-            pq_assign(m - self.cent[lid], self.books))
-        arr = pa.Array.from_buffers(code_t, len(codes),
-                                    [None, pa.py_buffer(codes.tobytes())])
-        return pa.table({self.id_col: batch.column(self.id_col),
-                         "list_id": pa.array(lid), "code": arr})
-
-
-class IvfPqTopK:
-    """IVFADC scan: rows outside each query's ``n_probe`` nearest lists
-    are skipped; probed rows score ``q . c_list + ADC(residual code)``
-    (the inner product decomposes exactly across the coarse + residual
-    terms, up to quantization of the residual)."""
-
-    def __init__(self, state_ref, query: np.ndarray, k: int = 10,
-                 n_probe: int = 4, id_col: str = "vec_id"):
-        import ray
-        state = (ray.get(state_ref)
-                 if isinstance(state_ref, ray.ObjectRef) else state_ref)
-        cent, books = state
-        q = _normalize(np.atleast_2d(np.asarray(query, dtype=np.float64)))
-        self.qc = q @ cent.T                      # (n_q, n_list)
-        n_probe = min(n_probe, cent.shape[0])
-        self.probe = np.argsort(-self.qc, axis=1)[:, :n_probe]
-        m_sub, _, dsub = books.shape
-        self.tables = np.stack([
-            q[:, j * dsub:(j + 1) * dsub] @ books[j].T
-            for j in range(m_sub)])
-        self.m_sub, self.k, self.id_col = m_sub, k, id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        empty = pa.table({self.id_col: batch.column(self.id_col).slice(0, 0),
-                          "query_id": pa.array([], type=pa.int32()),
-                          "score": pa.array([], type=pa.float64())})
-        if batch.num_rows == 0:
-            return empty
-        lid = batch.column("list_id").to_numpy()
-        codes = _codes_matrix(batch.column("code"), self.m_sub)
-        ids = batch.column(self.id_col).to_numpy()
-        out_ids, out_q, out_s = [], [], []
-        for qi in range(self.qc.shape[0]):
-            mask = np.isin(lid, self.probe[qi])
-            if not mask.any():
-                continue
-            cs = codes[mask]
-            s = self.qc[qi, lid[mask]].astype(np.float64)
-            for j in range(self.m_sub):
-                s = s + self.tables[j][qi, cs[:, j]]
-            k = min(self.k, len(s))
-            top = np.argpartition(-s, k - 1)[:k]
-            out_ids.append(ids[mask][top])
-            out_q.append(np.full(k, qi, dtype=np.int32))
-            out_s.append(s[top])
-        if not out_ids:
-            return empty
-        return pa.table({
-            self.id_col: pa.array(np.concatenate(out_ids)),
-            "query_id": pa.array(np.concatenate(out_q)),
-            "score": pa.array(np.concatenate(out_s), type=pa.float64())})
-
-
-def knn_ivfpq(ds, query: np.ndarray, k: int = 10, n_list: int = 16,
-              n_probe: int = 4, m_sub: int = 8, n_codes: int = 256,
-              sample_size: int = 4096, id_col: str = "vec_id",
-              col: str = "embedding", rerank: int | None = None
-              ) -> pa.Table:
-    """IVFADC approximate top-k (Jegou et al., TPAMI 2011 SS IV): coarse
-    spherical k-means + PQ over RESIDUALS, both trained on one bounded
-    sample; corpus encoded once to (list_id, m_sub-byte code); queries
-    scan only n_probe/n_list of the codes via ADC table lookups; one
-    distributed per-query top-k reduce.  The production ANN shape at
-    100 TB: floats are touched once (encode), the scan working set is the
-    compressed codes, and both pruning (IVF) and compression (PQ) bound
-    per-query cost independently of corpus size."""
-    import ray
-
-    sample = _normalize(_embedding_matrix(
-        ds.limit(sample_size).take_batch(sample_size,
-                                         batch_format="pyarrow"), col))
-    cent = spherical_kmeans(sample, n_list)
-    lid = np.argmax(sample @ cent.T, axis=1)
-    books = pq_train(sample - cent[lid], m_sub=m_sub, n_codes=n_codes)
-    ref = ray.put((cent, books))
-    codes = ds.map_batches(
-        IvfPqEncoder, batch_format="pyarrow", concurrency=(1, 4),
-        fn_constructor_kwargs={"state_ref": ref, "id_col": id_col,
-                               "col": col})
-    partial = codes.map_batches(
-        IvfPqTopK, batch_format="pyarrow", concurrency=(1, 4),
-        fn_constructor_kwargs={"state_ref": ref, "query": query,
-                               "k": rerank or k, "n_probe": n_probe,
-                               "id_col": id_col})
-    short = _score_topk_reduce(partial, rerank or k, id_col)
-    if not rerank:
-        return short
-    return _exact_rerank(ds, query, short, k, id_col, col)

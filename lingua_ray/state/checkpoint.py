@@ -19,7 +19,10 @@ Commit protocol (idempotent, crash-safe):
 Resume = rerun the same call: shards with a valid manifest are skipped;
 only missing/partial shards are reprocessed.  Because every stage output is
 a pure function of the input row, re-processed shards are byte-identical to
-what a single uninterrupted run would have produced.
+what a single uninterrupted run would have produced.  Output and manifests
+of shard ids past the current input listing (a part file was removed) are
+deleted at the start of every run, and ``finalize_ordered`` refuses while
+any remain.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ def _options_fingerprint(opts: PipelineOptions) -> str:
         "text_col": opts.text_col, "input_columns": opts.input_columns,
     }, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+class StaleShardError(RuntimeError):
+    """Checkpoint output of a shard that is no longer in the input."""
 
 
 @dataclass
@@ -96,6 +103,15 @@ class CheckpointedRun:
             done.add(sid)
         return done
 
+    def _stale_outputs(self, n_shards: int) -> list[Path]:
+        """Partition dirs and manifests of shard ids >= ``n_shards``, left
+        by an earlier run over a longer input listing."""
+        stale = [d for d in self.data_dir.glob("shard_id=*")
+                 if int(d.name.split("=", 1)[1]) >= n_shards]
+        stale += [m for m in self.manifest_dir.glob("shard-*.json")
+                  if int(m.stem.split("-", 1)[1]) >= n_shards]
+        return sorted(stale)
+
     def pending_shards(self) -> list[int]:
         done = self.completed_shards()
         return [i for i in range(len(self.shards())) if i not in done]
@@ -109,6 +125,11 @@ class CheckpointedRun:
             raise FileNotFoundError(f"no part-*.parquet in {self.input_dir}")
         self.manifest_dir.mkdir(parents=True, exist_ok=True)
         self.data_dir.mkdir(parents=True, exist_ok=True)
+        for p in self._stale_outputs(len(shards)):
+            if p.is_dir():
+                shutil.rmtree(p, ignore_errors=True)
+            else:
+                p.unlink(missing_ok=True)
         pending = self.pending_shards()
         fp = _options_fingerprint(self.opts)
 
@@ -196,6 +217,12 @@ class CheckpointedRun:
         if self.pending_shards():
             raise RuntimeError(
                 f"cannot finalize: shards pending {self.pending_shards()}")
+        stale = self._stale_outputs(len(self.shards()))
+        if stale:
+            raise StaleShardError(
+                "cannot finalize: output of shards no longer in "
+                f"{self.input_dir} (rerun run() to delete it): "
+                + ", ".join(map(str, stale)))
         nparts = self.opts.num_output_partitions
         if nparts is None:
             rows = sum(json.loads(self._manifest_path(i).read_text())
@@ -207,10 +234,14 @@ class CheckpointedRun:
         return write_ordered(ds, str(ordered_dir), nparts)
 
     def metrics_table(self) -> pa.Table:
-        """Aggregated per-shard metrics (G3 in SURVEY.md §2.6)."""
+        """Aggregated per-shard metrics of the current shards (G3 in
+        SURVEY.md §2.6)."""
+        n_shards = len(self.shards())
         rows = []
         for p in sorted(self.manifest_dir.glob("shard-*.json")):
             m = json.loads(p.read_text())
+            if m["shard_id"] >= n_shards:
+                continue
             rows.append({
                 "shard_id": m["shard_id"],
                 "input_rows": m["input_rows"],

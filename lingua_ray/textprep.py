@@ -22,7 +22,6 @@ import numpy as np
 
 from .chartables import (
     IS_JAVA_REGEX_SPACE,
-    IS_LETTER,
     IS_LOGOGRAM,
     IS_NUM_PUNCT,
     LOWER_1TO1,
@@ -164,14 +163,6 @@ def clean_batch(texts, encoded: tuple[np.ndarray, np.ndarray] | None = None
     return CharBatch(cps, new_offsets)
 
 
-def decode_batch(batch: CharBatch) -> list[str]:
-    """Inverse of :func:`clean_batch`'s representation (for tests/debug)."""
-    joined = batch.cps.astype("uint32").tobytes()
-    s = joined.decode("utf-32-le") if joined else ""
-    offs = batch.offsets
-    return [s[offs[i]: offs[i + 1]] for i in range(len(offs) - 1)]
-
-
 class WordBatch(NamedTuple):
     """Word segmentation of a batch of *raw* texts (WordList semantics)."""
 
@@ -218,6 +209,3 @@ def build_word_batch(texts, encoded: tuple[np.ndarray, np.ndarray] | None = None
     return WordBatch(cps, row_id, char_word, row_id[starts], starts,
                      logo[starts], n_rows)
 
-
-def letter_mask(cps: np.ndarray) -> np.ndarray:
-    return IS_LETTER[cps]

@@ -11,7 +11,7 @@ import pytest
 
 from lingua_ray.pipelines.quality_filter import PipelineOptions
 from lingua_ray.sources.transcripts import ensure_transcripts
-from lingua_ray.state.checkpoint import CheckpointedRun
+from lingua_ray.state.checkpoint import CheckpointedRun, StaleShardError
 
 
 @pytest.fixture(scope="module")
@@ -245,3 +245,24 @@ def test_resume_invalidated_by_input_listing_change(ray_session, turns_dir,
     shifted = CheckpointedRun(work, out, _opts())
     # all previously-valid manifests now point at the wrong input file
     assert shifted.pending_shards() == list(range(5))
+
+
+def test_finalize_refuses_output_of_removed_shard(ray_session, tmp_path):
+    """Removing the last part file leaves every remaining manifest valid,
+    so nothing is pending; finalize must not read the removed shard's
+    output, and the next run() deletes it."""
+    work = ensure_transcripts(tmp_path / "turns4", n_turns=2000, seed=42,
+                              n_shards=4)
+    out = tmp_path / "out_removed"
+    CheckpointedRun(work, out, _opts()).run(wave_size=4)
+    (work / "part-00003.parquet").unlink()
+    run = CheckpointedRun(work, out, _opts())
+    assert run.pending_shards() == []
+    with pytest.raises(StaleShardError, match="shard_id=3"):
+        run.finalize_ordered()
+    assert run.run(wave_size=4)["processed_shards"] == []
+    assert not (run.data_dir / "shard_id=3").exists()
+    assert not run._manifest_path(3).exists()
+    assert run.metrics_table().column("shard_id").to_pylist() == [0, 1, 2]
+    assert run.finalize_ordered() == 1500
+    assert pads.dataset(str(out / "ordered")).count_rows() == 1500

@@ -1,5 +1,7 @@
-"""Every ``lingua_ray`` module has an importer outside the test suites: a
-module that only its own tests import is code the program never runs."""
+"""Every ``lingua_ray`` module has an importer outside the test suites, and
+every public top-level function and class is referenced by the program: a
+module or function that only its own tests use is code the program never
+runs."""
 
 import ast
 from pathlib import Path
@@ -57,6 +59,52 @@ def test_every_lingua_ray_module_has_a_program_importer():
     unreached = sorted(m for m in modules
                        if m != "lingua_ray" and m not in imported)
     assert unreached == [], f"no importer outside tests/: {unreached}"
+
+
+# Public names that only tests use (qualified name -> the test that does).
+# Each is a candidate for deletion; none may join without a reason.
+TEST_ONLY = {
+    "lingua_ray.pipelines.accuracy.write_report":
+        "tests/test_accuracy_pipeline.py",
+    "lingua_ray.stages.dedup.jaccard": "tests/test_dedup_ann.py",
+    "lingua_ray.stages.dedup_index.append_to_index":
+        "tests/test_dedup_index.py",
+    "lingua_ray.stages.dedup_index.append_to_minhash_index":
+        "tests/test_dedup_index.py",
+}
+
+
+def _referenced_names() -> set[str]:
+    """Every name a program file loads, reads as an attribute or imports."""
+    names = set()
+    for path in _program_files():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_public_lingua_ray_function_is_referenced():
+    referenced = _referenced_names()
+    unreached = set()
+    for path in sorted((ROOT / "lingua_ray").rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in referenced):
+                unreached.add(f"{_module_name(path)}.{node.name}")
+    assert sorted(unreached - TEST_ONLY.keys()) == [], \
+        "referenced nowhere outside its own def"
+    assert sorted(TEST_ONLY.keys() - unreached) == [], \
+        "now referenced by the program (or deleted): drop from TEST_ONLY"
+    for name, test in TEST_ONLY.items():
+        short = name.rpartition(".")[2]
+        assert short in (ROOT / test).read_text(encoding="utf-8"), name
 
 
 def test_program_uses_no_private_dataset_attributes():

@@ -7,14 +7,12 @@ import pyarrow as pa
 
 
 def test_brute_force_topk_and_lsh_bucket_empty_batch():
-    from lingua_ray.stages.ann import BruteForceTopK, add_lsh_bucket
+    from lingua_ray.stages.ann import BruteForceTopK
     e = pa.table({"vec_id": pa.array([], pa.int64()),
                   "embedding": pa.array([], pa.list_(pa.float32()))})
     out = BruteForceTopK(np.ones(4), k=3)(e)
     assert out.num_rows == 0
     assert out.column_names == ["vec_id", "query_id", "cos"]
-    b = add_lsh_bucket(e, dim=4)
-    assert b.num_rows == 0 and "bucket" in b.column_names
 
 
 def test_paragraph_keys_int32_doc_id_matches_int64():

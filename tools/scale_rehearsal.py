@@ -42,13 +42,13 @@ REPS = 10
 
 # the per-round top of the bench cost table + one representative per
 # heavy family (langid pool, minhash+CC, substring scale paths,
-# sessionize, LSH/ANN, retrieval, inverted index)
+# sessionize, semantic dedup, retrieval, inverted index)
 DEFAULT_QUERIES = [
     "langid_documents", "dedup_minhash", "dedup_clusters",
     "substring_dedup_sampled", "substring_dedup_winnowed",
     "session_turn_dedup", "conv_lang_switches", "conv_neardup",
     "doc_tfidf", "inverted_index", "bm25_topk", "semantic_dedup",
-    "knn_pq", "events_sessions",
+    "events_sessions",
     # round-5 curation tranche representatives
     "dedup_keep_best", "redpajama_signals", "events_dau",
     "conv_duration_stats", "repeated_prefix_convs",
