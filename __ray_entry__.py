@@ -1314,12 +1314,12 @@ def _langid_concurrency(n_rows: int | None = None,
     return min(by_cpu, by_data)   # by_data caps at 1 for one-batch inputs
 
 
-def _sql_cents(x, scale: float = 100.0) -> np.ndarray:
+def _sql_cents(x) -> np.ndarray:
     """Money → integer units with DuckDB ``round()`` semantics (half AWAY
     from zero).  np.round/np.rint round half-to-even and would diverge
     from every oracle's ``CAST(round(v * 100) AS BIGINT)`` on an exact
     half-cent value (e.g. 0.125 — representable exactly in binary)."""
-    v = np.asarray(x, dtype=np.float64) * scale
+    v = np.asarray(x, dtype=np.float64) * 100.0
     return (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
 
 
@@ -1719,33 +1719,6 @@ def _q_events_value_salted(sf_dir: str):
                       "event_type", "cents", salt=16)
 
 
-def _q_orders_price_quantiles_approx(sf_dir: str):
-    """Error-bounded quantiles of a CONTINUOUS column (binned histogram,
-    two passes, no sampling): |est - exact| ≤ range/65536.  [rows-only:
-    approximate by design; pytest asserts the bound vs exact]"""
-    from lingua_ray.functions.quantiles import binned_quantiles
-    ds = _read(sf_dir, "orders", columns=["o_totalprice"])
-    return binned_quantiles(ds, "o_totalprice",
-                            {"p50": 0.5, "p90": 0.9, "p99": 0.99})
-
-
-def _q_orders_price_quantiles(sf_dir: str):
-    """EXACT quantiles of a continuous price column: quantize to cents
-    (int64 — o_totalprice carries 2 decimals, so lossless), then the
-    histogram-combiner quantile kernel (`functions/quantiles.py`): each
-    block ships (cents, count) pairs, one tiny groupby, driver cumsum.
-    Matches DuckDB quantile_disc rank-for-rank.  [SQL-verified]"""
-    from lingua_ray.functions.quantiles import exact_quantiles
-
-    ds = _read(sf_dir, "orders", columns=["o_totalprice"])
-    n, found = exact_quantiles(ds, "o_totalprice",
-                               {"p50_cents": 0.5, "p90_cents": 0.9,
-                                "p99_cents": 0.99}, transform=_sql_cents)
-    row = {"n_orders": n, **found}
-    return pa.table({k: pa.array([v], type=pa.int64())
-                     for k, v in row.items()})
-
-
 def _q_events_last_per_user(sf_dir: str):
     """Arg-max per key: each user's latest event row.  The per-batch
     combiner reduces every block to ≤ one row per user BEFORE the single
@@ -1754,25 +1727,6 @@ def _q_events_last_per_user(sf_dir: str):
     ds = _read(sf_dir, "events",
                columns=["event_id", "ts", "user_id", "event_type"])
     return last_per_key(ds, "user_id", ["ts", "event_id"])
-
-
-def _q_lineitem_unpivot(sf_dir: str):
-    """UNPIVOT the four lineitem measures to long format — block-local
-    flat-map, no shuffle.  [SQL-verified]"""
-    from lingua_ray.functions.reshape import melt
-    cols = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_linenumber"] + cols)
-    return melt(ds, ["l_orderkey", "l_linenumber"], cols)
-
-
-def _q_orders_price_zscore(sf_dir: str):
-    """Z-score normalization via the distributed-moments pattern: each
-    block ships (n, sum, sumsq), normalization is a shuffle-free map
-    with broadcast scalars.  [SQL-verified]"""
-    from lingua_ray.functions.reshape import zscore_column
-    ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
-    return zscore_column(ds, "o_totalprice")
 
 
 def _q_doc_shuffle(sf_dir: str):
@@ -2833,209 +2787,6 @@ def _q_events_sessions(sf_dir: str):
     return sessionize(ds, gap_seconds=1800.0)
 
 
-def _q_orders_by_segment(sf_dir: str):
-    """Revenue per customer market segment — a broadcast map-side join:
-    the small customer table is loaded once per task as a lookup array
-    (never shuffled; the brief's broadcast-small-side pattern), orders
-    stream through map_batches, then a tiny groupby.  [SQL-verified]"""
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_mktsegment"])
-    keys = np.asarray(cust.column("c_custkey").to_numpy())
-    order = np.argsort(keys)
-    keys = keys[order]
-    segs = np.asarray(cust.column("c_mktsegment").to_numpy(
-        zero_copy_only=False))[order]
-
-    def join_segment(batch: pa.Table) -> pa.Table:
-        ck = batch.column("o_custkey").to_numpy()
-        idx = np.searchsorted(keys, ck)
-        idx = np.clip(idx, 0, len(keys) - 1)
-        hit = keys[idx] == ck
-        seg = np.where(hit, segs[idx], None)
-        # integer cents: float sums depend on association order across
-        # engines; integer arithmetic is exact and hash-stable
-        cents = _sql_cents(batch.column("o_totalprice").to_numpy())
-        return pa.table({
-            "c_mktsegment": pa.array(seg.tolist(), type=pa.string()),
-            "cents": pa.array(cents),
-        })
-
-    from ray.data.aggregate import Count, Sum
-    ds = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-    ds = ds.map_batches(join_segment, batch_format="pyarrow")
-    out = ds.groupby("c_mktsegment").aggregate(Count(), Sum("cents"))
-    return out.rename_columns({"count()": "n_orders",
-                               "sum(cents)": "revenue_cents"})
-
-
-def _q_orders_join_customer(sf_dir: str):
-    """Row-level inner hash join (ray.data.Dataset.join — the same
-    operator the minhash verification stage relies on) verified against
-    the DuckDB join: (o_orderkey, c_mktsegment, o_totalprice).
-    [SQL-verified]"""
-    import ray
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_custkey", "o_totalprice"])
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    nparts = max(2, int(ray.cluster_resources().get("CPU", 4)) // 4)
-    j = orders.join(cust, "inner", nparts,
-                    on=("o_custkey",), right_on=("c_custkey",))
-    return j.select_columns(["o_orderkey", "c_mktsegment", "o_totalprice"])
-
-
-def _q_lineitem_pricing(sf_dir: str):
-    """TPC-H Q1-shaped pricing summary: predicate-pushdown read (only
-    row groups with l_shipdate <= cutoff leave storage), per-batch
-    partial aggregation into <=6 rows (the combiner-before-shuffle
-    pattern — the global exchange moves a handful of rows per block,
-    never the lineitem table), then a tiny multi-key groupby.  All
-    money math is integer (cents / 1e-4 / 1e-6 units) so the sums are
-    exact and hash-stable across engines.  [SQL-verified]"""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    cutoff = pa.scalar(np.datetime64("1998-09-02", "us"))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cents = _sql_cents(batch.column("l_extendedprice").to_numpy())
-        disc = _sql_cents(batch.column("l_discount").to_numpy())
-        tax = _sql_cents(batch.column("l_tax").to_numpy())
-        qty = np.rint(batch.column("l_quantity").to_numpy()).astype(np.int64)
-        disc_e4 = cents * (100 - disc)
-        t = pa.table({
-            "l_returnflag": batch.column("l_returnflag"),
-            "l_linestatus": batch.column("l_linestatus"),
-            "sum_qty": pa.array(qty),
-            "sum_base_cents": pa.array(cents),
-            "sum_disc_e4": pa.array(disc_e4),
-            "sum_charge_e6": pa.array(disc_e4 * (100 + tax)),
-            "n_lines": pa.array(np.ones(len(qty), dtype=np.int64)),
-        })
-        return t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("sum_qty", "sum"), ("sum_base_cents", "sum"),
-             ("sum_disc_e4", "sum"), ("sum_charge_e6", "sum"),
-             ("n_lines", "sum")]).rename_columns(
-            ["l_returnflag", "l_linestatus", "sum_qty", "sum_base_cents",
-             "sum_disc_e4", "sum_charge_e6", "n_lines"])
-
-    import ray.data
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity",
-                 "l_extendedprice", "l_discount", "l_tax", "l_shipdate"],
-        filter=pc.field("l_shipdate") <= cutoff)
-    out = ds.map_batches(partial, batch_format="pyarrow").groupby(
-        ["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty"), Sum("sum_base_cents"), Sum("sum_disc_e4"),
-        Sum("sum_charge_e6"), Sum("n_lines"))
-    return out.rename_columns(
-        {"sum(sum_qty)": "sum_qty", "sum(sum_base_cents)": "sum_base_cents",
-         "sum(sum_disc_e4)": "sum_disc_e4",
-         "sum(sum_charge_e6)": "sum_charge_e6", "sum(n_lines)": "n_lines"})
-
-
-def _q_supplier_revenue(sf_dir: str):
-    """Revenue per supplier nation — a two-level broadcast map-side join
-    (lineitem >> supplier (100 rows) >> nation (25 rows)): both small
-    sides are composed into ONE suppkey->nation-name lookup on the
-    driver and applied inside map_batches, so the big table is never
-    shuffled for the join; the only exchange is the 25-key groupby of
-    per-batch partials.  Integer 1e-4-unit revenue keeps the comparison
-    hash-exact.  [SQL-verified]"""
-    from ray.data.aggregate import Sum
-
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_nationkey"])
-    nat = pq.read_table(f"{sf_dir}/nation.parquet",
-                        columns=["n_nationkey", "n_name"])
-    nkeys = nat.column("n_nationkey").to_numpy()
-    order = np.argsort(nkeys)
-    nnames = np.asarray(nat.column("n_name").to_numpy(
-        zero_copy_only=False))[order]
-    nkeys = nkeys[order]
-    skeys = supp.column("s_suppkey").to_numpy()
-    sorder = np.argsort(skeys)
-    skeys = skeys[sorder]
-    snation = supp.column("s_nationkey").to_numpy()[sorder]
-    # compose: suppkey -> nation name (both sides broadcast-small)
-    sname = nnames[np.searchsorted(nkeys, snation)]
-
-    def partial(batch: pa.Table) -> pa.Table:
-        sk = batch.column("l_suppkey").to_numpy()
-        si = np.minimum(np.searchsorted(skeys, sk), len(skeys) - 1)
-        hit = skeys[si] == sk   # inner-join semantics: drop unknown keys
-        sk, si = sk[hit], si[hit]
-        name = sname[si]
-        cents = _sql_cents(batch.column("l_extendedprice").to_numpy()[hit])
-        disc = _sql_cents(batch.column("l_discount").to_numpy()[hit])
-        t = pa.table({
-            "n_name": pa.array(name.tolist(), type=pa.string()),
-            "revenue_e4": pa.array(cents * (100 - disc)),
-            "n_lines": pa.array(np.ones(len(sk), dtype=np.int64)),
-        })
-        return t.group_by("n_name").aggregate(
-            [("revenue_e4", "sum"), ("n_lines", "sum")]).rename_columns(
-            ["n_name", "revenue_e4", "n_lines"])
-
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_suppkey", "l_extendedprice", "l_discount"])
-    out = ds.map_batches(partial, batch_format="pyarrow").groupby(
-        "n_name").aggregate(Sum("revenue_e4"), Sum("n_lines"))
-    return out.rename_columns({"sum(revenue_e4)": "revenue_e4",
-                               "sum(n_lines)": "n_lines"})
-
-
-def _q_orders_building_revenue(sf_dir: str):
-    """Bloom-prefiltered join: the selective right side (BUILDING
-    customers) becomes a broadcast bloom filter that drops non-matching
-    orders BEFORE any exchange; an exact semi-join removes the ~0.8%
-    false positives; a per-batch combiner then aggregates.
-    [SQL-verified]"""
-    from ray.data.aggregate import Sum
-    from lingua_ray.stages.sets import bloom_semi_filter, semi_join
-
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    building = cust.filter(expr="c_mktsegment == 'BUILDING'") \
-        .select_columns(["c_custkey"]).materialize()
-    orders = _read(sf_dir, "orders",
-                   columns=["o_custkey", "o_orderpriority", "o_totalprice"])
-    pre = bloom_semi_filter(orders, building, on="o_custkey",
-                            right_on="c_custkey")
-    exact = semi_join(pre, building, on="o_custkey",
-                      right_on="c_custkey")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cents = _sql_cents(batch.column("o_totalprice").to_numpy())
-        t = pa.table({"o_orderpriority": batch.column("o_orderpriority"),
-                      "n": pa.array(np.ones(batch.num_rows, np.int64)),
-                      "cents": pa.array(cents)})
-        g = pa.TableGroupBy(t, ["o_orderpriority"]).aggregate(
-            [("n", "sum"), ("cents", "sum")])
-        return g.rename_columns(["o_orderpriority", "n", "cents"])
-
-    out = exact.map_batches(partial, batch_format="pyarrow") \
-        .groupby("o_orderpriority").aggregate(Sum("n"), Sum("cents"))
-    return out.rename_columns({"sum(n)": "n_orders",
-                               "sum(cents)": "revenue_cents"})
-
-
-def _q_customers_no_big_orders(sf_dir: str):
-    """Distributed anti-join (NOT EXISTS) via stages/sets.py: customers
-    with no order over $400k.  The right side is reduced to distinct
-    keys inside a per-batch combiner before the single hash shuffle, so
-    the exchange carries keys, never order rows.  [SQL-verified]"""
-    import pyarrow.compute as pc
-    import ray.data
-    from lingua_ray.stages.sets import anti_join
-
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    big = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_totalprice"],
-        filter=pc.field("o_totalprice") > 400000.0)
-    return anti_join(cust, big, on="c_custkey", right_on="o_custkey")
-
-
 def _q_events_lag(sf_dir: str):
     """Per-key LAG window function: microsecond gap between each event
     and the same user's previous event (events with no predecessor are
@@ -3391,47 +3142,6 @@ _DOC_DUP_NGRAMS_SQL = """
 """
 
 
-def _q_lineitem_revenue_filter(sf_dir: str):
-    """TPC-H Q6 (forecasting revenue change): one predicate-heavy filter
-    + a scalar sum — entirely map-side, the canonical read-prune +
-    combiner query.  Revenue summed as integer 10^-4 units so both
-    engines agree bit-for-bit.  [SQL-verified]"""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ship = batch.column("l_shipdate").to_numpy()
-        disc = batch.column("l_discount").to_numpy()
-        qty = batch.column("l_quantity").to_numpy()
-        price = batch.column("l_extendedprice").to_numpy()
-        lo = np.datetime64("1996-01-01")
-        hi = np.datetime64("1997-01-01")
-        days = ship.astype("datetime64[D]")
-        disc_c = _sql_cents(disc)
-        m = ((days >= lo) & (days < hi)
-             & (disc_c >= 5) & (disc_c <= 7)
-             & (qty < 24))
-        rev = _sql_cents(price[m]) * disc_c[m]
-        return pa.table({"rev_e4": pa.array([int(rev.sum())],
-                                            type=pa.int64())})
-
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_shipdate", "l_discount", "l_quantity",
-                        "l_extendedprice"])
-    out = ds.map_batches(partial, batch_format="pyarrow").sum("rev_e4")
-    return pa.table({"rev_e4": pa.array([int(out or 0)], type=pa.int64())})
-
-
-_LINEITEM_Q6_SQL = """
-    SELECT CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                    * CAST(round(l_discount * 100) AS BIGINT))
-                AS BIGINT) AS rev_e4
-    FROM lineitem
-    WHERE l_shipdate >= DATE '1996-01-01'
-      AND l_shipdate < DATE '1997-01-01'
-      AND round(l_discount * 100) BETWEEN 5 AND 7
-      AND l_quantity < 24
-"""
-
-
 def _q_doc_repetition(sf_dir: str):
     """Gopher-style repetition signal: the document's most frequent word
     count vs total words (stages/quality.py::repetition_batch — Arrow
@@ -3619,58 +3329,6 @@ def _q_doc_length_topp(sf_dir: str):
     return docs.filter(expr=f"n_chars >= {found['p90']}")
 
 
-def _q_top_orders_per_segment(sf_dir: str):
-    """Group-wise top-k (the window-function row_number<=k pattern):
-    broadcast map-side join attaches the segment, a per-batch combiner
-    keeps only each segment's local top-3 (so the shuffle moves <=
-    3×segments rows per block), and map_groups takes the global top-3.
-    Ties break on o_orderkey so the result is deterministic.
-    [SQL-verified]"""
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_mktsegment"])
-    keys = cust.column("c_custkey").to_numpy()
-    order = np.argsort(keys)
-    keys = keys[order]
-    segs = np.asarray(cust.column("c_mktsegment").to_numpy(
-        zero_copy_only=False))[order]
-    K = 3
-
-    def topk(seg, okey, price):
-        # descending price, ascending orderkey tiebreak; first K per seg
-        o = np.lexsort((okey, -price, seg))
-        seg, okey, price = seg[o], okey[o], price[o]
-        starts = np.flatnonzero(
-            np.concatenate([[True], seg[1:] != seg[:-1]]))
-        pos = np.arange(len(seg)) - np.repeat(
-            starts, np.diff(np.concatenate([starts, [len(seg)]])))
-        m = pos < K
-        return pa.table({
-            "c_mktsegment": pa.array(seg[m].tolist(), type=pa.string()),
-            "o_orderkey": pa.array(okey[m]),
-            "o_totalprice": pa.array(price[m]),
-        })
-
-    def local(batch: pa.Table) -> pa.Table:
-        ck = batch.column("o_custkey").to_numpy()
-        idx = np.clip(np.searchsorted(keys, ck), 0, len(keys) - 1)
-        seg = segs[idx]
-        return topk(seg, batch.column("o_orderkey").to_numpy(),
-                    batch.column("o_totalprice").to_numpy())
-
-    def final(group: pa.Table) -> pa.Table:
-        return topk(
-            np.asarray(group.column("c_mktsegment").to_numpy(
-                zero_copy_only=False)),
-            group.column("o_orderkey").to_numpy(),
-            group.column("o_totalprice").to_numpy())
-
-    ds = _read(sf_dir, "orders",
-               columns=["o_custkey", "o_orderkey", "o_totalprice"])
-    return (ds.map_batches(local, batch_format="pyarrow")
-            .groupby("c_mktsegment")
-            .map_groups(final, batch_format="pyarrow"))
-
-
 def _q_events_attribution(sf_dir: str):
     """Last-touch attribution via the generic as-of join operator
     (stages/asof.py): every purchase event joined to the same user's most
@@ -3807,198 +3465,7 @@ def _q_distinct_words_exact(sf_dir: str):
     return pa.table({"n_distinct_words": pa.array([n], pa.int64())})
 
 
-def _q_local_supplier_volume(sf_dir: str):
-    """TPC-H Q5-shaped local-supplier volume: revenue per ASIA nation from
-    1996 orders whose customer and supplier share the nation.  The dim
-    chain (region → nation → customer / supplier) composes into broadcast
-    lookup arrays on the driver; the ONE big-big exchange is the
-    lineitem ⨝ filtered-orders hash join on the order key
-    (``Dataset.join``), after which revenue partials reduce over ≤5
-    nation keys.  Integer 1e-4-unit money keeps the compare hash-exact.
-    [SQL-verified]"""
-    import pyarrow.compute as pc
-    import ray
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    nat = pq.read_table(f"{sf_dir}/nation.parquet")
-    reg = pq.read_table(f"{sf_dir}/region.parquet")
-    asia = reg.filter(pc.equal(reg.column("r_name"), "ASIA")).column(
-        "r_regionkey").to_numpy()
-    nkeys = nat.column("n_nationkey").to_numpy()
-    order = np.argsort(nkeys)
-    nkeys = nkeys[order]
-    nnames = np.asarray(nat.column("n_name").to_numpy(
-        zero_copy_only=False))[order]
-    in_asia = np.isin(nat.column("n_regionkey").to_numpy()[order], asia)
-
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"])
-    ckeys = cust.column("c_custkey").to_numpy()
-    co = np.argsort(ckeys)
-    ckeys = ckeys[co]
-    cnation = cust.column("c_nationkey").to_numpy()[co]
-
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_nationkey"])
-    skeys = supp.column("s_suppkey").to_numpy()
-    so = np.argsort(skeys)
-    skeys = skeys[so]
-    snation = supp.column("s_nationkey").to_numpy()[so]
-
-    lo = pa.scalar(np.datetime64("1996-01-01", "us"))
-    hi = pa.scalar(np.datetime64("1997-01-01", "us"))
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-        filter=(pc.field("o_orderdate") >= lo) & (pc.field("o_orderdate") < hi))
-
-    def attach_cust_nation(batch: pa.Table) -> pa.Table:
-        ck = batch.column("o_custkey").to_numpy()
-        ci = np.minimum(np.searchsorted(ckeys, ck), len(ckeys) - 1)
-        hit = ckeys[ci] == ck   # inner-join semantics: drop unknown keys
-        return pa.table({
-            "o_orderkey": batch.column("o_orderkey").filter(pa.array(hit)),
-            "cust_nk": pa.array(cnation[ci[hit]])})
-
-    orders_nk = orders.map_batches(attach_cust_nation,
-                                   batch_format="pyarrow")
-    line = _read(sf_dir, "lineitem",
-                 columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                          "l_discount"])
-    nparts = max(2, int(ray.cluster_resources().get("CPU", 4)) // 4)
-    j = line.join(orders_nk, "inner", nparts,
-                  on=("l_orderkey",), right_on=("o_orderkey",))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        sk = batch.column("l_suppkey").to_numpy()
-        si = np.minimum(np.searchsorted(skeys, sk), len(skeys) - 1)
-        sn = snation[si]
-        ni = np.minimum(np.searchsorted(nkeys, sn), len(nkeys) - 1)
-        m = ((skeys[si] == sk) & (nkeys[ni] == sn)   # inner-join semantics
-             & (sn == batch.column("cust_nk").to_numpy()) & in_asia[ni])
-        cents = _sql_cents(batch.column("l_extendedprice").to_numpy()[m])
-        disc = _sql_cents(batch.column("l_discount").to_numpy()[m])
-        t = pa.table({
-            "n_name": pa.array(nnames[ni[m]].tolist(), type=pa.string()),
-            "revenue_e4": pa.array(cents * (100 - disc)),
-        })
-        return t.group_by("n_name").aggregate(
-            [("revenue_e4", "sum")]).rename_columns(
-            ["n_name", "revenue_e4"])
-
-    out = j.map_batches(partial, batch_format="pyarrow").groupby(
-        "n_name").aggregate(Sum("revenue_e4"))
-    return out.rename_columns({"sum(revenue_e4)": "revenue_e4"})
-
-
-def _q_top_unshipped_orders(sf_dir: str):
-    """TPC-H Q3-shaped shipping priority: top-10 highest-revenue orders
-    from BUILDING customers, placed before the cutoff with lines still
-    unshipped after it.  Exercises the global ``Dataset.sort`` + ``limit``
-    path on a small post-aggregation table: predicate-pushdown reads,
-    broadcast customer-segment filter, per-batch revenue partials, one
-    orderkey groupby, one orderkey hash join, then sort-desc/limit.  The
-    (revenue desc, date, orderkey) key is a total order, so the limit-10
-    set is deterministic in both engines.  [SQL-verified]"""
-    import pyarrow.compute as pc
-    import ray
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    cutoff = pa.scalar(np.datetime64("1998-06-01", "us"))
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_mktsegment"])
-    bkeys = np.sort(cust.filter(
-        pc.equal(cust.column("c_mktsegment"), "BUILDING")).column(
-        "c_custkey").to_numpy())
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate",
-                 "o_orderpriority"],
-        filter=pc.field("o_orderdate") < cutoff)
-
-    def building_only(batch: pa.Table) -> pa.Table:
-        ck = batch.column("o_custkey").to_numpy()
-        if len(bkeys) == 0:   # no customer in the segment at this sf
-            return batch.slice(0, 0).drop_columns(["o_custkey"])
-        i = np.searchsorted(bkeys, ck)
-        hit = (i < len(bkeys)) & (bkeys[np.minimum(i, len(bkeys) - 1)] == ck)
-        return batch.filter(pa.array(hit)).drop_columns(["o_custkey"])
-
-    orders_b = orders.map_batches(building_only, batch_format="pyarrow")
-
-    line = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount",
-                 "l_shipdate"],
-        filter=pc.field("l_shipdate") > cutoff)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cents = _sql_cents(batch.column("l_extendedprice").to_numpy())
-        disc = _sql_cents(batch.column("l_discount").to_numpy())
-        t = pa.table({"l_orderkey": batch.column("l_orderkey"),
-                      "revenue_e4": pa.array(cents * (100 - disc))})
-        return t.group_by("l_orderkey").aggregate(
-            [("revenue_e4", "sum")]).rename_columns(
-            ["l_orderkey", "revenue_e4"])
-
-    rev = (line.map_batches(partial, batch_format="pyarrow")
-           .groupby("l_orderkey").aggregate(Sum("revenue_e4"))
-           .rename_columns({"sum(revenue_e4)": "revenue_e4"}))
-    nparts = max(2, int(ray.cluster_resources().get("CPU", 4)) // 4)
-    j = rev.join(orders_b, "inner", nparts,
-                 on=("l_orderkey",), right_on=("o_orderkey",))
-    out = j.sort(["revenue_e4", "o_orderdate", "l_orderkey"],
-                 descending=[True, False, False]).limit(10)
-    return out.select_columns(["l_orderkey", "revenue_e4", "o_orderdate",
-                               "o_orderpriority"])
-
-
 _EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
-
-
-_PRICE_BANDS = pa.table({
-    "lo": pa.array([0.0, 50_000.0, 150_000.0, 600_000.0], pa.float64()),
-    "hi": pa.array([100_000.0, 200_000.0, 600_000.0, 600_000.0],
-                   pa.float64()),
-    "band": pa.array(["low", "mid", "high", "empty"]),
-})
-
-
-def _q_orders_price_bands(sf_dir: str):
-    """Range join: each order matches EVERY (overlapping) price band
-    containing its total price — broadcast variant, the interval table
-    ships once via ray.put and the orders side never shuffles.
-    [SQL-verified]"""
-    from lingua_ray.stages.rangejoin import broadcast_range_join
-    ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
-    out = broadcast_range_join(ds, _PRICE_BANDS, "o_totalprice")
-    return out.select_columns(["o_orderkey", "band"])
-
-
-def _q_orders_price_bands_bucketed(sf_dir: str):
-    """Same range join via the both-sides-large path: left rows hash to
-    one value bucket, intervals replicate to every bucket they overlap,
-    one bucket-keyed shuffle co-locates them.  Verified against the same
-    SQL as the broadcast variant.  [SQL-verified]"""
-    from lingua_ray.stages.rangejoin import bucketed_range_join
-    ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
-    out = bucketed_range_join(ds, _PRICE_BANDS, "o_totalprice",
-                              boundaries=[75_000.0, 150_000.0, 300_000.0])
-    return out.select_columns(["o_orderkey", "band"])
-
-
-_PRICE_BANDS_SQL = """
-    SELECT o_orderkey, band
-    FROM orders
-    JOIN (VALUES (0.0, 100000.0, 'low'),
-                 (50000.0, 200000.0, 'mid'),
-                 (150000.0, 600000.0, 'high'),
-                 (600000.0, 600000.0, 'empty')) AS b(lo, hi, band)
-      ON o_totalprice >= lo AND o_totalprice < hi
-"""
 
 
 def _q_events_pivot(sf_dir: str):
@@ -4878,10 +4345,9 @@ def _q_conv_duration_stats(sf_dir: str):
 def _q_events_anomaly_zscore(sf_dir: str):
     """Daily-count anomaly score per event type: z-score of each (type,
     day) count against that type's own daily distribution (population
-    std via the sum/sumsq identity — the orders_price_zscore formula,
-    partitioned).  The (type, day, n) table is provably tiny (|types| ×
-    |days|), so stats assemble on the driver after one combiner +
-    groupby.  [SQL-verified]"""
+    std via the sum/sumsq identity, partitioned by type).  The (type,
+    day, n) table is provably tiny (|types| × |days|), so stats assemble
+    on the driver after one combiner + groupby.  [SQL-verified]"""
     import pyarrow.compute as pc
     from lingua_ray.stages.util import round_half_away
 
@@ -4968,34 +4434,20 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    # Ordering is deliberate and rotates per round: the driver checks a
-    # bounded window (50/round) from the front, so queries that have never
-    # received a driver-green row are listed first — SQL-verified ones
-    # (strongest check) ahead of rows-only ones — and the queries already
-    # hash-green in earlier rounds follow.  The round-5 window closes the
-    # book: the final 32 never-driver-checked entries (13 SQL-verified +
-    # 19 rows-only — the ANN family, HLL/BPE pairs, and the round-4
-    # rows-only compositions) head the list, followed by the 10 NEW
-    # round-5 SQL-verified operators (training-data curation tranche:
-    # quality-aware dedup, PII audit, data-card histograms, DoReMi
-    # reweighting, code-fence stats, template/prefix detection,
-    # response latency, hash splits, RedPajama signals, per-role
-    # quantiles, plus DAU / conv-duration / daily-anomaly-zscore /
-    # source-lang-entropy), padded to 50 with the 4 stalest greens (last
-    # driver-checked in round 1 or 2).  With this window green, every
-    # query registered then had a green check in some round.  The
-    # registry now holds 161 queries, 132 of them SQL-verified
-    # (``oracle_sql``).
-    # Rows-only queries are the langid/model family (not SQL-expressible;
-    # gated by the pytest kernel-vs-scalar suite), the approximate
-    # sketches (each has an exact SQL-verified twin) and the embedding
-    # near-dup / k-means entries (planted-pair pytest gates).
+    # 145 queries, 117 of them SQL-verified: ``oracle_sql()`` holds a
+    # DuckDB statement for each, over the same parquet views.  The other
+    # 28 are rows-only and gated by pytest instead: model inference
+    # (langid, perplexity, k-means, eigensolves), custom hash families
+    # (MinHash, SimHash, LSH), approximate sketches with an exact
+    # SQL-verified twin, and order-dependent state (packing, BPE merges).
+    # COVERAGE.md names each rows-only query and its gate;
+    # tests/test_oracle_queries.py checks that every oracle key is a
+    # registered query and that COVERAGE.md lists every rows-only one.
+    # The order below carries no meaning.
     return {
-        # ---- never driver-checked, SQL-verified (round-5 window head) ----
         "corpus_datacard": _q_corpus_datacard,
         "events_funnel_count": _q_events_funnel_count,
         "events_retention": _q_events_retention,
-        "orders_price_bands_bucketed": _q_orders_price_bands_bucketed,
         "transcript_tool_chains": _q_transcript_tool_chains,
         "conv_context_truncate": _q_conv_context_truncate,
         "conv_role_balance": _q_conv_role_balance,
@@ -5005,7 +4457,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "conv_pack_assign": _q_conv_pack_assign,
         "transcript_sessionize": _q_transcript_sessionize,
         "conv_exchange_extract": _q_conv_exchange_extract,
-        # ---- never driver-checked, rows-only (pytest-gated) ----
         "embedding_pca_project": _q_embedding_pca_project,
         "conv_lang_switches": _q_conv_lang_switches,
         "multilang_turns": _q_multilang_turns,
@@ -5020,7 +4471,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "distinct_words_hll": _q_distinct_words_hll,
         "distinct_words_by_lang_hll": _q_distinct_words_by_lang_hll,
         "semantic_dedup": _q_semantic_dedup,
-        # ---- new in round 5, SQL-verified (never checked by design) ----
         "dedup_keep_best": _q_dedup_keep_best,
         "pii_leak_report": _q_pii_leak_report,
         "token_length_histogram": _q_token_length_histogram,
@@ -5035,12 +4485,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "conv_duration_stats": _q_conv_duration_stats,
         "events_anomaly_zscore": _q_events_anomaly_zscore,
         "source_lang_entropy": _q_source_lang_entropy,
-        # ---- stalest greens: last driver-checked round 1-2 ----
-        "lineitem_unpivot": _q_lineitem_unpivot,
-        "orders_price_zscore": _q_orders_price_zscore,
         "events_rollup": _q_events_rollup,
         "langid_documents": _q_langid_documents,
-        # ---- after the window: driver-green in rounds 1-4 ----
         "doc_length_pctrank": _q_doc_length_pctrank,
         "doc_length_rank": _q_doc_length_rank,
         "events_stats": _q_events_stats,
@@ -5056,10 +4502,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dedup_clusters": _q_dedup_clusters,
         "simhash": _q_simhash,
         "embedding_pca_stats": _q_embedding_pca_stats,
-        "orders_price_quantiles": _q_orders_price_quantiles,
         "events_sessions": _q_events_sessions,
-        "orders_by_segment": _q_orders_by_segment,
-        "lineitem_pricing": _q_lineitem_pricing,
         "events_attribution": _q_events_attribution,
         "doc_length_quantiles": _q_doc_length_quantiles,
         "doc_length_quantiles_by_lang": _q_doc_length_quantiles_by_lang,
@@ -5068,20 +4511,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "distinct_words_by_lang": _q_distinct_words_by_lang,
         "doc_repetition": _q_doc_repetition,
         "doc_dup_ngrams": _q_doc_dup_ngrams,
-        "lineitem_revenue_filter": _q_lineitem_revenue_filter,
         "doc_entropy": _q_doc_entropy,
-        "customers_no_big_orders": _q_customers_no_big_orders,
-        "orders_building_revenue": _q_orders_building_revenue,
         "events_lag": _q_events_lag,
         "events_sliding": _q_events_sliding,
-        "top_orders_per_segment": _q_top_orders_per_segment,
-        "supplier_revenue": _q_supplier_revenue,
-        "orders_join_customer": _q_orders_join_customer,
         "distinct_words_exact": _q_distinct_words_exact,
-        "local_supplier_volume": _q_local_supplier_volume,
-        "top_unshipped_orders": _q_top_unshipped_orders,
         "events_pivot": _q_events_pivot,
-        "orders_price_bands": _q_orders_price_bands,
         "events_cumsum": _q_events_cumsum,
         "events_funnel": _q_events_funnel,
         "events_top_spenders": _q_events_top_spenders,
@@ -5156,7 +4590,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "langid_confidences": _q_langid_confidences,
         "seq_packing_by_lang": _q_seq_packing_by_lang,
         "dedup_fuzzy_keep": _q_dedup_fuzzy_keep,
-        "orders_price_quantiles_approx": _q_orders_price_quantiles_approx,
     }
 
 
@@ -5727,15 +5160,12 @@ def oracle_sql() -> dict[str, str]:
         "embedding_pca_stats": _PCA_STATS_SQL,
         "para_dedup": _para_dedup_sql(),
         "line_dedup": _line_dedup_sql(),
-        "orders_price_bands": _PRICE_BANDS_SQL,
-        "orders_price_bands_bucketed": _PRICE_BANDS_SQL,
         "dedup_incremental": _dedup_incremental_sql(),
         "dedup_indexed": _dedup_incremental_sql(),
         "dedup_incremental_bloom": _dedup_incremental_sql(),
         "events_funnel": _EVENTS_FUNNEL_SQL,
         "events_top_spenders": _EVENTS_TOP_SPENDERS_SQL,
         "doc_dup_ngrams": _DOC_DUP_NGRAMS_SQL,
-        "lineitem_revenue_filter": _LINEITEM_Q6_SQL,
         "embedding_centroid_by_label": _EMBEDDING_CENTROID_SQL,
         "events_cumsum": """
             SELECT event_id, user_id,
@@ -5823,16 +5253,6 @@ def oracle_sql() -> dict[str, str]:
         "substring_dedup": _substring_dedup_sql(1),
         "substring_dedup_sampled": _substring_dedup_sql(_SUBSTR_STRIDE),
         "substring_dedup_winnowed": _substring_dedup_winnow_sql(_WINNOW_W),
-        "orders_price_quantiles": """
-            SELECT CAST(count(*) AS BIGINT) AS n_orders,
-              CAST(quantile_disc(CAST(round(o_totalprice * 100) AS BIGINT),
-                                 0.5) AS BIGINT) AS p50_cents,
-              CAST(quantile_disc(CAST(round(o_totalprice * 100) AS BIGINT),
-                                 0.9) AS BIGINT) AS p90_cents,
-              CAST(quantile_disc(CAST(round(o_totalprice * 100) AS BIGINT),
-                                 0.99) AS BIGINT) AS p99_cents
-            FROM orders
-        """,
         "dedup_exact":
             "SELECT min(doc_id) AS doc_id FROM documents GROUP BY coalesce(text, '')",
         "dedup_normalized": """
@@ -5866,30 +5286,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT event_id, ts, user_id, event_type FROM events
             QUALIFY row_number() OVER (
               PARTITION BY user_id ORDER BY ts DESC, event_id DESC) = 1
-        """,
-        "lineitem_unpivot": """
-            SELECT l_orderkey, l_linenumber, 'l_quantity' AS variable,
-                   CAST(l_quantity AS DOUBLE) AS value FROM lineitem
-            UNION ALL
-            SELECT l_orderkey, l_linenumber, 'l_extendedprice',
-                   CAST(l_extendedprice AS DOUBLE) FROM lineitem
-            UNION ALL
-            SELECT l_orderkey, l_linenumber, 'l_discount',
-                   CAST(l_discount AS DOUBLE) FROM lineitem
-            UNION ALL
-            SELECT l_orderkey, l_linenumber, 'l_tax',
-                   CAST(l_tax AS DOUBLE) FROM lineitem
-        """,
-        "orders_price_zscore": """
-            SELECT o_orderkey, o_totalprice,
-              round((o_totalprice -
-                     (SELECT sum(o_totalprice) / count(*) FROM orders)) /
-                    (SELECT sqrt(greatest(
-                        sum(o_totalprice * o_totalprice) / count(*) -
-                        (sum(o_totalprice) / count(*)) *
-                        (sum(o_totalprice) / count(*)), 0)) FROM orders),
-                    6) AS z
-            FROM orders
         """,
         "doc_shuffle": """
             SELECT doc_id,
@@ -6346,32 +5742,6 @@ def oracle_sql() -> dict[str, str]:
                    max(ts) AS session_end, count(*) AS n_events
             FROM sess GROUP BY user_id, sid
         """,
-        "orders_by_segment": """
-            SELECT c_mktsegment, count(*) AS n_orders,
-                   CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT))
-                        AS BIGINT) AS revenue_cents
-            FROM orders JOIN customer ON o_custkey = c_custkey
-            GROUP BY c_mktsegment
-        """,
-        "orders_join_customer": """
-            SELECT o_orderkey, c_mktsegment, o_totalprice
-            FROM orders JOIN customer ON o_custkey = c_custkey
-        """,
-        "orders_building_revenue": """
-            SELECT o_orderpriority, count(*) AS n_orders,
-              CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT))
-                   AS BIGINT) AS revenue_cents
-            FROM orders JOIN customer ON o_custkey = c_custkey
-            WHERE c_mktsegment = 'BUILDING'
-            GROUP BY o_orderpriority
-        """,
-        "customers_no_big_orders": """
-            SELECT c_custkey, c_name FROM customer c
-            WHERE NOT EXISTS (
-              SELECT 1 FROM orders o
-              WHERE o.o_custkey = c.c_custkey
-                AND o.o_totalprice > 400000)
-        """,
         "events_lag": """
             SELECT event_id, user_id, ts, gap_us FROM (
               SELECT event_id, user_id, ts,
@@ -6428,14 +5798,6 @@ def oracle_sql() -> dict[str, str]:
             WHERE n_chars >= (SELECT quantile_disc(n_chars, 0.9)
                               FROM documents)
         """,
-        "top_orders_per_segment": """
-            SELECT c_mktsegment, o_orderkey, o_totalprice FROM (
-              SELECT c_mktsegment, o_orderkey, o_totalprice,
-                row_number() OVER (PARTITION BY c_mktsegment
-                  ORDER BY o_totalprice DESC, o_orderkey) AS rn
-              FROM orders JOIN customer ON o_custkey = c_custkey)
-            WHERE rn <= 3
-        """,
         "events_attribution": """
             SELECT p.user_id, p.ts, p.event_id,
                    c.ts AS ts_click, c.event_id AS event_id_click,
@@ -6444,74 +5806,10 @@ def oracle_sql() -> dict[str, str]:
             ASOF JOIN (SELECT * FROM events WHERE event_type = 'click') c
               ON p.user_id = c.user_id AND p.ts >= c.ts
         """,
-        "lineitem_pricing": """
-            SELECT l_returnflag, l_linestatus,
-              CAST(sum(CAST(round(l_quantity) AS BIGINT)) AS BIGINT)
-                AS sum_qty,
-              CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT))
-                   AS BIGINT) AS sum_base_cents,
-              CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                       * (100 - CAST(round(l_discount * 100) AS BIGINT)))
-                   AS BIGINT) AS sum_disc_e4,
-              CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                       * (100 - CAST(round(l_discount * 100) AS BIGINT))
-                       * (100 + CAST(round(l_tax * 100) AS BIGINT)))
-                   AS BIGINT) AS sum_charge_e6,
-              count(*) AS n_lines
-            FROM lineitem
-            WHERE l_shipdate <= TIMESTAMP '1998-09-02 00:00:00'
-            GROUP BY l_returnflag, l_linestatus
-        """,
-        "supplier_revenue": """
-            SELECT n_name,
-              CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                       * (100 - CAST(round(l_discount * 100) AS BIGINT)))
-                   AS BIGINT) AS revenue_e4,
-              count(*) AS n_lines
-            FROM lineitem
-            JOIN supplier ON l_suppkey = s_suppkey
-            JOIN nation ON s_nationkey = n_nationkey
-            GROUP BY n_name
-        """,
         "distinct_words_exact": """
             SELECT count(DISTINCT word) AS n_distinct_words
             FROM (SELECT unnest(string_split(coalesce(text, ''), ' ')) AS word
                   FROM documents)
-        """,
-        "local_supplier_volume": """
-            SELECT n_name,
-              CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                       * (100 - CAST(round(l_discount * 100) AS BIGINT)))
-                   AS BIGINT) AS revenue_e4
-            FROM customer
-            JOIN orders ON c_custkey = o_custkey
-            JOIN lineitem ON l_orderkey = o_orderkey
-            JOIN supplier ON l_suppkey = s_suppkey
-            JOIN nation ON s_nationkey = n_nationkey
-            JOIN region ON n_regionkey = r_regionkey
-            WHERE r_name = 'ASIA'
-              AND c_nationkey = s_nationkey
-              AND o_orderdate >= TIMESTAMP '1996-01-01'
-              AND o_orderdate < TIMESTAMP '1997-01-01'
-            GROUP BY n_name
-        """,
-        "top_unshipped_orders": """
-            SELECT l_orderkey, revenue_e4, o_orderdate, o_orderpriority
-            FROM (
-              SELECT l_orderkey,
-                CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                         * (100 - CAST(round(l_discount * 100) AS BIGINT)))
-                     AS BIGINT) AS revenue_e4,
-                o_orderdate, o_orderpriority
-              FROM customer
-              JOIN orders ON c_custkey = o_custkey
-              JOIN lineitem ON l_orderkey = o_orderkey
-              WHERE c_mktsegment = 'BUILDING'
-                AND o_orderdate < TIMESTAMP '1998-06-01'
-                AND l_shipdate > TIMESTAMP '1998-06-01'
-              GROUP BY l_orderkey, o_orderdate, o_orderpriority)
-            ORDER BY revenue_e4 DESC, o_orderdate, l_orderkey
-            LIMIT 10
         """,
         "events_pivot": """
             SELECT date_trunc('hour', ts) AS hour,

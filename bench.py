@@ -124,12 +124,12 @@ def run_queries(sf_dir: str, repeat: int = 2) -> dict[str, float]:
     bench_queries = ["langid_documents", "doc_quality", "doc_scrub",
                      "doc_tokens", "dedup_exact", "dedup_minhash",
                      "dedup_clusters", "simhash", "knn_bruteforce", "lang_hist",
-                     "events_sessions", "orders_by_segment",
+                     "events_sessions",
                      "ngram_counts", "train_ngrams", "contamination",
                      "stratified_sample", "doc_tfidf", "corpus_mix",
                      "seq_packing", "para_dedup", "dedup_incremental",
                      # round-2 second-wave operators
-                     "word_heavy_hitters", "orders_price_bands",
+                     "word_heavy_hitters",
                      "doc_length_rank", "events_rollup", "bigram_pmi",
                      "doc_budget_selection", "doc_entropy", "doc_chunks",
                      # round-3 operators (dedup_jaccard excluded: the

@@ -96,61 +96,6 @@ def grouped_quantiles(ds, key_col: str, value_col: str,
                                             batch_format="pyarrow")
 
 
-def binned_quantiles(ds, value_col: str, qs: dict[str, float],
-                     n_bins: int = 65536):
-    """Approximate quantiles of a CONTINUOUS column with a deterministic
-    error bound: |estimate - exact| ≤ (max - min) / n_bins.
-
-    The exact-histogram pattern assumes bounded cardinality; for doubles
-    the histogram is the full column.  Two cheap passes instead:
-    pass 1 reduces (min, max) per block; pass 2 bins each value into
-    n_bins equal-width buckets and ships sparse (bin, cnt) pairs — ≤
-    n_bins rows per block, 64 KiB-scale regardless of corpus size.  The
-    driver cumsums the merged histogram and reports each quantile's bin
-    RIGHT EDGE (so the estimate is ≥ the exact quantile, within one bin
-    width).  Deterministic: no sampling.
-
-    Returns a one-row pa.Table: n plus one float64 column per ``qs``
-    entry.
-    """
-    def minmax(batch: pa.Table) -> pa.Table:
-        v = batch.column(value_col).to_numpy().astype(np.float64)
-        if len(v) == 0:
-            return pa.table({"lo": pa.array([], pa.float64()),
-                             "hi": pa.array([], pa.float64())})
-        return pa.table({"lo": pa.array([float(v.min())]),
-                         "hi": pa.array([float(v.max())])})
-
-    rows = ds.map_batches(minmax, batch_format="pyarrow").take_all()
-    if not rows:
-        return pa.table({"n": pa.array([0], pa.int64()),
-                         **{k: pa.array([0.0]) for k in qs}})
-    lo = min(r["lo"] for r in rows)
-    hi = max(r["hi"] for r in rows)
-    width = (hi - lo) / n_bins if hi > lo else 1.0
-
-    def hist(batch: pa.Table) -> pa.Table:
-        v = batch.column(value_col).to_numpy().astype(np.float64)
-        b = np.clip(((v - lo) / width).astype(np.int64), 0, n_bins - 1)
-        ub, uc = np.unique(b, return_counts=True)
-        return pa.table({"bin": pa.array(ub),
-                         "cnt": pa.array(uc.astype(np.int64))})
-
-    hrows = ds.map_batches(hist, batch_format="pyarrow") \
-        .groupby("bin").sum("cnt").take_all()
-    hrows.sort(key=lambda r: r["bin"])
-    bins = np.array([r["bin"] for r in hrows], dtype=np.int64)
-    cnts = np.array([r["sum(cnt)"] for r in hrows], dtype=np.int64)
-    cum = np.cumsum(cnts)
-    n = int(cum[-1])
-    out = {"n": pa.array([n], pa.int64())}
-    for name, q in qs.items():
-        rank = max(1, int(np.ceil(q * n)))
-        edge = lo + (int(bins[np.searchsorted(cum, rank)]) + 1) * width
-        out[name] = pa.array([min(edge, hi)], pa.float64())
-    return pa.table(out)
-
-
 def percent_rank_column(ds, value_col: str, out_col: str = "pct"):
     """Attach SQL ``percent_rank() OVER (ORDER BY value_col)`` =
     (count of strictly smaller values) / (n - 1), rounded to 6 decimals.
@@ -192,24 +137,22 @@ def percent_rank_column(ds, value_col: str, out_col: str = "pct"):
     return ds.map_batches(attach, batch_format="pyarrow")
 
 
-def exact_quantiles(ds, value_col: str, qs: dict[str, float],
-                    transform=None) -> tuple[int, dict[str, int]]:
-    """Global exact ``quantile_disc`` over an integer(-izable) column.
+def exact_quantiles(ds, value_col: str,
+                    qs: dict[str, float]) -> tuple[int, dict[str, int]]:
+    """Global exact ``quantile_disc`` over an integer column.
 
     The histogram-combiner shape shared by every exact-quantile query:
     each block ships (value, count) pairs, ONE tiny groupby sums them,
-    and the driver cumsums the KB-sized histogram.  ``transform(values)
-    -> int64`` quantizes continuous inputs (e.g. money to cents).
+    and the driver cumsums the KB-sized histogram.
     Rank = ceil(q * n), matching DuckDB ``quantile_disc`` exactly.
     Returns ``(n, {name: value})``.
     """
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
-        v = batch.column(value_col).to_numpy()
-        v = transform(v) if transform is not None else v.astype(np.int64)
+        v = batch.column(value_col).to_numpy().astype(np.int64)
         vals, cnts = np.unique(v, return_counts=True)
-        return pa.table({"v": pa.array(vals.astype(np.int64)),
+        return pa.table({"v": pa.array(vals),
                          "cnt": pa.array(cnts.astype(np.int64))})
 
     hist = (ds.map_batches(partial, batch_format="pyarrow")

@@ -1,12 +1,10 @@
-"""Arg-max per key, melt/unpivot, and z-score vs scalar oracles."""
+"""Arg-max per key vs scalar oracles."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 from lingua_ray.functions.argmax import argmax_local, last_per_key
-from lingua_ray.functions.reshape import (column_moments, melt,
-                                          melt_batch, zscore_column)
 
 
 def _events(n=2000, seed=13):
@@ -57,49 +55,3 @@ def test_first_per_key_matches_pandas(ray_session):
     want = want.sort_values("user_id", ignore_index=True)
     pd.testing.assert_frame_equal(
         got[["user_id", "event_id"]], want[["user_id", "event_id"]])
-
-
-def test_melt_batch_roundtrip():
-    t = pa.table({"id": pa.array([1, 2], pa.int64()),
-                  "a": pa.array([1.5, 2.5]),
-                  "b": pa.array([10, 20], pa.int64())})
-    out = melt_batch(t, ["id"], ["a", "b"])
-    rows = sorted(map(tuple, (r.values() for r in out.to_pylist())))
-    assert rows == [(1, "a", 1.5), (1, "b", 10.0),
-                    (2, "a", 2.5), (2, "b", 20.0)]
-
-
-def test_melt_dataset(ray_session):
-    import ray.data
-    t = pa.table({"id": pa.array(np.arange(100, dtype=np.int64)),
-                  "x": pa.array(np.arange(100, dtype=np.float64)),
-                  "y": pa.array(np.arange(100, 200, dtype=np.float64))})
-    out = melt(ray.data.from_arrow(t).repartition(4), ["id"], ["x", "y"])
-    assert out.count() == 200
-
-
-def test_zscore_matches_numpy(ray_session):
-    import ray.data
-    rng = np.random.default_rng(21)
-    v = rng.normal(100, 15, 3000)
-    t = pa.table({"id": pa.array(np.arange(3000, dtype=np.int64)),
-                  "v": pa.array(v)})
-    n, mean, std = column_moments(
-        ray.data.from_arrow(t).repartition(6), "v")
-    assert n == 3000
-    assert abs(mean - v.mean()) < 1e-9
-    assert abs(std - v.std()) < 1e-9
-    out = zscore_column(ray.data.from_arrow(t).repartition(6),
-                        "v").take_all()
-    want = np.round((v - v.mean()) / v.std(), 6)
-    got = {r["id"]: r["z"] for r in out}
-    for i in range(3000):
-        assert abs(got[i] - want[i]) <= 1e-6
-
-
-def test_zscore_constant_column(ray_session):
-    import ray.data
-    t = pa.table({"id": pa.array([1, 2], pa.int64()),
-                  "v": pa.array([5.0, 5.0])})
-    out = zscore_column(ray.data.from_arrow(t), "v").take_all()
-    assert [r["z"] for r in out] == [0.0, 0.0]

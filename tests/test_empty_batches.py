@@ -7,7 +7,6 @@ import pyarrow as pa
 from lingua_ray.functions.collocations import bigram_count_local
 from lingua_ray.functions.divergence import source_word_counts
 from lingua_ray.functions.quantiles import quantile_hist_batch
-from lingua_ray.functions.reshape import melt_batch
 from lingua_ray.functions.sketches import mg_summary_batch
 from lingua_ray.functions.argmax import argmax_local
 from lingua_ray.stages.chunking import chunk_batch
@@ -32,9 +31,6 @@ def test_tabular_kernels_empty():
     assert h.num_rows == 0 and h.column_names == ["k", "v", "cnt"]
     t3 = _empty(k=pa.string(), o=pa.int64())
     assert argmax_local(t3, "k", ["o"]).num_rows == 0
-    t4 = _empty(id=pa.int64(), a=pa.float64(), b=pa.float64())
-    m = melt_batch(t4, ["id"], ["a", "b"])
-    assert m.num_rows == 0 and "variable" in m.column_names
 
 
 def test_doc_kernels_empty():

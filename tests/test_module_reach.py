@@ -75,15 +75,18 @@ TEST_ONLY = {
 
 
 def _referenced_names() -> set[str]:
-    """Every name a program file loads, reads as an attribute or imports."""
+    """Every name a program file loads, reads as an attribute or imports.
+    A re-export in a package ``__init__.py`` is not a use: it would keep a
+    name that nothing calls looking referenced."""
     names = set()
     for path in _program_files():
+        reexports = path.name == "__init__.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, ast.alias) and not reexports:
                 names.add(node.name.rpartition(".")[2])
     return names
 

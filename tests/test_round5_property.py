@@ -12,7 +12,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
-from pathlib import Path
 
 # documents-only, SQL-verified operators with deterministic-exact
 # semantics (transcript/events ones need their own generated fixtures
@@ -303,125 +302,3 @@ def test_rolling_join_sparse_ordinals_fail_loudly(ray_session):
     ds = ray.data.from_arrow(t)
     with pytest.raises(Exception, match="DENSE 0-based"):
         rolling_join(ds, "k", "o", "text", k=2).materialize()
-
-
-TPCH_OPS = ["orders_by_segment", "orders_join_customer",
-            "lineitem_pricing", "lineitem_revenue_filter",
-            "orders_price_quantiles", "orders_price_bands",
-            "orders_price_bands_bucketed", "orders_price_zscore",
-            "top_orders_per_segment", "supplier_revenue",
-            "local_supplier_volume", "top_unshipped_orders",
-            "customers_no_big_orders", "orders_building_revenue",
-            "lineitem_unpivot"]
-
-
-def _random_tpch(rng: np.random.Generator, tmp: "Path") -> None:
-    """FK-consistent random TPC-H tables with the adversarial edges the
-    smooth fixture avoids: duplicated totalprices (rank ties), exact
-    .xx5 prices (half-away rounding), zero discounts, dates pinned to
-    the oracles' predicate boundaries, hot customers, customers with no
-    orders and orders with no lineitems (join/anti-join edges)."""
-    import shutil
-    for t in ("nation", "region"):
-        shutil.copy(f"/root/testdata/sf0.001/{t}.parquet",
-                    tmp / f"{t}.parquet")
-    n_cust, n_ord, n_li, n_supp, n_part = 60, 300, 900, 8, 40
-    segs = ["BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD",
-            "FURNITURE"]
-    cust = pa.table({
-        "c_custkey": pa.array(np.arange(n_cust, dtype=np.int64)),
-        "c_name": pa.array([f"c{i}" for i in range(n_cust)]),
-        "c_nationkey": pa.array(rng.integers(0, 25, n_cust)),
-        "c_acctbal": pa.array(np.round(rng.normal(0, 500, n_cust), 2)),
-        "c_mktsegment": pa.array([str(s) for s in
-                                  rng.choice(segs, n_cust)])})
-    pq.write_table(cust, tmp / "customer.parquet")
-    # hot customer 7; last 10 customers get no orders at all
-    ck = np.where(rng.random(n_ord) < 0.3, 7,
-                  rng.integers(0, n_cust - 10, n_ord)).astype(np.int64)
-    price = np.round(rng.uniform(100, 400000, n_ord), 2)
-    price[::5] = price[5::5 * 2].repeat(2)[:len(price[::5])]  # pair ties
-    price[::7] = np.floor(price[::7]) + 0.005         # exact half cents
-    price[1::9] = price[0]                            # heavy rank ties
-    day = np.int64(86_400_000_000)
-    epoch96 = np.int64(820_454_400_000_000)           # 1996-01-01 UTC
-    dates = epoch96 + rng.integers(-400, 1100, n_ord) * day
-    dates[::11] = epoch96                             # boundary exact
-    dates[::13] = np.int64(896_659_200_000_000)       # 1998-06-01 exact
-    orders = pa.table({
-        "o_orderkey": pa.array(np.arange(n_ord, dtype=np.int64)),
-        "o_custkey": pa.array(ck),
-        "o_orderstatus": pa.array([str(s) for s in
-                                   rng.choice(["O", "F", "P"], n_ord)]),
-        "o_totalprice": pa.array(price),
-        "o_orderdate": pa.array(dates).cast(pa.timestamp("us")),
-        "o_orderpriority": pa.array([str(s) for s in rng.choice(
-            ["1-URGENT", "2-HIGH", "3-MEDIUM"], n_ord)])})
-    pq.write_table(orders, tmp / "orders.parquet")
-    supp = pa.table({
-        "s_suppkey": pa.array(np.arange(n_supp, dtype=np.int64)),
-        "s_name": pa.array([f"s{i}" for i in range(n_supp)]),
-        "s_nationkey": pa.array(rng.integers(0, 25, n_supp)),
-        "s_acctbal": pa.array(np.round(rng.normal(0, 100, n_supp), 2))})
-    pq.write_table(supp, tmp / "supplier.parquet")
-    part = pa.table({
-        "p_partkey": pa.array(np.arange(n_part, dtype=np.int64)),
-        "p_name": pa.array([f"p{i}" for i in range(n_part)]),
-        "p_brand": pa.array([f"B{i % 5}" for i in range(n_part)]),
-        "p_type": pa.array([f"T{i % 7}" for i in range(n_part)]),
-        "p_size": pa.array(rng.integers(1, 50, n_part)),
-        "p_retailprice": pa.array(
-            np.round(rng.uniform(1, 2000, n_part), 2))})
-    pq.write_table(part, tmp / "part.parquet")
-    # lineitems only for the first 280 orders (20 orders lineitem-less)
-    lo = rng.integers(0, 280, n_li).astype(np.int64)
-    ep = np.round(rng.uniform(1, 90000, n_li), 2)
-    ep[::7] = np.floor(ep[::7]) + 0.005
-    disc = np.round(rng.choice([0.0, 0.01, 0.05, 0.055, 0.1], n_li), 3)
-    ldates = epoch96 + rng.integers(-200, 1200, n_li) * day
-    ldates[::13] = np.int64(896_659_200_000_000) + day  # just past cutoff
-    li = pa.table({
-        "l_orderkey": pa.array(lo),
-        "l_partkey": pa.array(rng.integers(0, n_part, n_li)),
-        "l_suppkey": pa.array(rng.integers(0, n_supp, n_li)),
-        "l_linenumber": pa.array(rng.integers(1, 7, n_li)
-                                 .astype(np.int32)),
-        "l_quantity": pa.array(rng.integers(1, 50, n_li)
-                               .astype(np.float64)),
-        "l_extendedprice": pa.array(ep),
-        "l_discount": pa.array(disc),
-        "l_tax": pa.array(np.round(rng.choice([0.0, 0.02, 0.08], n_li),
-                                   2)),
-        "l_returnflag": pa.array([str(s) for s in
-                                  rng.choice(["A", "N", "R"], n_li)]),
-        "l_linestatus": pa.array([str(s) for s in
-                                  rng.choice(["O", "F"], n_li)]),
-        "l_shipdate": pa.array(ldates).cast(pa.timestamp("us"))})
-    pq.write_table(li, tmp / "lineitem.parquet")
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_tpch_ops_match_oracle_on_tied_boundary_input(
-        ray_session, tmp_path, seed):
-    import __ray_entry__ as E
-    rng = np.random.default_rng(seed)
-    d = tmp_path / f"tpch{seed}"
-    d.mkdir()
-    _random_tpch(rng, d)
-    con = duckdb.connect()
-    for t in ("nation", "region", "customer", "orders", "supplier",
-              "part", "lineitem"):
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
-                    f"read_parquet('{d}/{t}.parquet')")
-    oracles = E.oracle_sql()
-    qs = E.queries()
-    for name in TPCH_OPS:
-        got = qs[name](str(d))
-        if not isinstance(got, (pa.Table, pd.DataFrame)):
-            got = got.to_pandas()
-        elif isinstance(got, pa.Table):
-            got = got.to_pandas()
-        want = con.execute(oracles[name]).df()
-        pd.testing.assert_frame_equal(_canon(got), _canon(want),
-                                      check_dtype=False,
-                                      obj=f"{name} (seed {seed})")

@@ -1,10 +1,8 @@
-"""Salted groupby-sum (skew-proof aggregation) and error-bounded binned
-quantiles vs exact oracles."""
+"""Salted groupby-sum (skew-proof aggregation) vs exact oracles."""
 
 import numpy as np
 import pyarrow as pa
 
-from lingua_ray.functions.quantiles import binned_quantiles
 from lingua_ray.functions.salted import salted_sum
 
 
@@ -37,30 +35,6 @@ def test_salted_sum_partitioning_and_salt_independent(ray_session):
             salted_sum(ray.data.from_arrow(t).repartition(parts),
                        "k", "v", salt=salt).take_all()))
     assert outs[0] == outs[1]
-
-
-def test_binned_quantiles_within_bound(ray_session):
-    import ray.data
-    rng = np.random.default_rng(19)
-    v = rng.lognormal(10, 1, 30_000)
-    t = pa.table({"v": pa.array(v)})
-    qs = {"p50": 0.5, "p90": 0.9, "p99": 0.99}
-    out = binned_quantiles(ray.data.from_arrow(t).repartition(6),
-                           "v", qs, n_bins=4096).to_pylist()[0]
-    assert out["n"] == 30_000
-    width = (v.max() - v.min()) / 4096
-    sv = np.sort(v)
-    for name, q in qs.items():
-        exact = sv[int(np.ceil(q * len(v))) - 1]
-        assert exact <= out[name] <= exact + width + 1e-9, name
-
-
-def test_binned_quantiles_constant_column(ray_session):
-    import ray.data
-    t = pa.table({"v": pa.array([42.0] * 100)})
-    out = binned_quantiles(ray.data.from_arrow(t), "v",
-                           {"p50": 0.5}).to_pylist()[0]
-    assert out["p50"] == 42.0
 
 
 def test_salted_sum_keeps_zero_sum_keys(ray_session):

@@ -1,4 +1,4 @@
-"""Semi/anti join operator: Dataset composition vs brute force."""
+"""Anti-join operator: Dataset composition vs brute force."""
 
 import pyarrow as pa
 import pytest
@@ -15,14 +15,6 @@ def _mk(ray_session):
         "junk": ["x", "y", "z", "w"],
     }))
     return left, right
-
-
-def test_semi_join(ray_session):
-    from lingua_ray.stages.sets import semi_join
-    left, right = _mk(ray_session)
-    out = semi_join(left, right, on="k", right_on="rk").take_all()
-    assert sorted(r["k"] for r in out) == [2, 4]
-    assert {r["k"]: r["name"] for r in out} == {2: "b", 4: "d"}
 
 
 def test_anti_join(ray_session):
@@ -42,10 +34,10 @@ def test_anti_join_empty_right(ray_session):
 
 
 def test_null_left_keys_sql_semantics(ray_session):
-    """NULL left keys match nothing: semi_join drops them, anti_join
-    (NOT EXISTS) keeps them — neither crashes the groupby."""
+    """NULL left keys match nothing, so anti_join (NOT EXISTS) keeps
+    them — without crashing the groupby."""
     import ray.data
-    from lingua_ray.stages.sets import anti_join, semi_join
+    from lingua_ray.stages.sets import anti_join
     left = ray.data.from_arrow(pa.table({
         "k": pa.array([1, None, 2, None, 9], type=pa.int64()),
         "name": ["a", "b", "c", "d", "e"],
@@ -54,55 +46,6 @@ def test_null_left_keys_sql_semantics(ray_session):
         "rk": pa.array([2, 9, None], type=pa.int64()),
         "junk": ["x", "y", "z"],
     }))
-    semi = semi_join(left, right, on="k", right_on="rk").take_all()
-    assert sorted(r["k"] for r in semi) == [2, 9]
     anti = anti_join(left, right, on="k", right_on="rk").take_all()
     assert sorted(r["name"] for r in anti) == ["a", "b", "d"]
     assert sorted(str(r["k"]) for r in anti) == ["1", "None", "None"]
-
-
-def test_bloom_semi_filter_null_typed_key_block(ray_session):
-    """An all-null (null-TYPED) key block must survive the prefilter's
-    fingerprint path, for both string and integer key columns."""
-    import ray.data
-    from lingua_ray.stages.sets import bloom_semi_filter
-    left_str = ray.data.from_arrow(pa.table({
-        "k": pa.array([None, None], type=pa.null()),
-        "v": pa.array([1, 2], type=pa.int64()),
-    }))
-    right = ray.data.from_arrow(pa.table({"rk": ["a", "b"]}))
-    # must not raise; the bloom pass is only a superset prefilter
-    bloom_semi_filter(left_str, right, on="k", right_on="rk").take_all()
-    left_int = ray.data.from_arrow(pa.table({
-        "k": pa.array([3, None, 5], type=pa.int64()),
-        "v": pa.array([1, 2, 3], type=pa.int64()),
-    }))
-    right_int = ray.data.from_arrow(pa.table(
-        {"rk": pa.array([5], type=pa.int64())}))
-    out = bloom_semi_filter(left_int, right_int, on="k",
-                            right_on="rk").take_all()
-    assert {r["v"] for r in out} >= {3}  # the true match survives
-
-
-def test_bloom_semi_filter_superset_and_prunes(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-    from lingua_ray.stages.sets import bloom_semi_filter
-
-    rng = np.random.default_rng(77)
-    left = pa.table({"k": pa.array(rng.integers(0, 10_000, 5000)
-                                   .astype(np.int64)),
-                     "v": pa.array(np.arange(5000, dtype=np.int64))})
-    right_keys = np.arange(0, 500, dtype=np.int64)  # 5% selectivity
-    right = pa.table({"rk": pa.array(right_keys)})
-    out = bloom_semi_filter(ray.data.from_arrow(left).repartition(4),
-                            ray.data.from_arrow(right).repartition(2),
-                            on="k", right_on="rk").take_all()
-    kept = {r["v"] for r in out}
-    match = set(np.flatnonzero(
-        np.isin(left.column("k").to_numpy(), right_keys)).tolist())
-    # no false negatives: every true match survives
-    assert match <= kept
-    # real pruning: FP rate keeps the survivor set near the true matches
-    assert len(kept) < len(match) + 0.05 * 5000

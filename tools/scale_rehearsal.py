@@ -127,14 +127,6 @@ def ensure_scaled(dst: Path = DST, src: str = SRC, reps: int = REPS) -> Path:
             "props": ev.column("props").combine_chunks()}))
     pq.write_table(pa.concat_tables(outs), dst / "events.parquet")
 
-    # small TPC-H side tables: copy through so any query that joins them
-    # still resolves (their scale is not what the rehearsal stresses)
-    for t in ("region", "nation", "customer", "supplier", "part",
-              "orders", "lineitem"):
-        p = Path(f"{src}/{t}.parquet")
-        if p.exists():
-            pq.write_table(pq.read_table(p), dst / f"{t}.parquet")
-
     marker.write_text(json.dumps({
         "src": src, "reps": reps,
         "build_sec": round(time.perf_counter() - t0, 1)}))
