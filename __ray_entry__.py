@@ -261,11 +261,10 @@ def _q_transcript_role_transitions(sf_dir: str):
 
 def _q_transcript_turn_gaps(sf_dir: str):
     """Per-turn gap (µs) to the previous turn of the same conversation in
-    stable turn order — the transcript counterpart of events_lag.  Same
-    skew-bounded adjacency primitive as role_transitions (no group
-    exceeds _TURN_BUCKET+1 turns, mega-conversation-proof); turns with
-    no predecessor, or a NULL ts on either side, are dropped (SQL's
-    gap IS NOT NULL).  [SQL-verified]"""
+    stable turn order.  Same skew-bounded adjacency primitive as
+    role_transitions (no group exceeds _TURN_BUCKET+1 turns,
+    mega-conversation-proof); turns with no predecessor, or a NULL ts on
+    either side, are dropped (SQL's gap IS NOT NULL).  [SQL-verified]"""
     import pyarrow.compute as pc
     from lingua_ray.stages.adjacency import adjacent_pairs
 
@@ -1314,15 +1313,6 @@ def _langid_concurrency(n_rows: int | None = None,
     return min(by_cpu, by_data)   # by_data caps at 1 for one-batch inputs
 
 
-def _sql_cents(x) -> np.ndarray:
-    """Money → integer units with DuckDB ``round()`` semantics (half AWAY
-    from zero).  np.round/np.rint round half-to-even and would diverge
-    from every oracle's ``CAST(round(v * 100) AS BIGINT)`` on an exact
-    half-cent value (e.g. 0.125 — representable exactly in binary)."""
-    v = np.asarray(x, dtype=np.float64) * 100.0
-    return (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
-
-
 def _doc_rows(sf_dir: str) -> int:
     return pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
@@ -1701,34 +1691,6 @@ def _q_word_counts(sf_dir: str):
     return word_counts_topk(ds, k=100)
 
 
-def _q_events_value_salted(sf_dir: str):
-    """Skew-proof sum of event value by type: event_type has ~5 hot
-    keys, so the salted two-stage groupby keeps reduce parallelism at
-    keys × 16 instead of 5 tasks doing all the work.  Fixed-point cents
-    make the sum associativity-independent.  [SQL-verified]"""
-    from lingua_ray.functions.salted import salted_sum
-
-    def cents(batch: pa.Table) -> pa.Table:
-        v = batch.column("value").to_numpy()
-        return pa.table({"event_type": batch.column("event_type"),
-                         "cents": pa.array(
-                             _sql_cents(v))})
-
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-    return salted_sum(ds.map_batches(cents, batch_format="pyarrow"),
-                      "event_type", "cents", salt=16)
-
-
-def _q_events_last_per_user(sf_dir: str):
-    """Arg-max per key: each user's latest event row.  The per-batch
-    combiner reduces every block to ≤ one row per user BEFORE the single
-    hash shuffle.  [SQL-verified]"""
-    from lingua_ray.functions.argmax import last_per_key
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "ts", "user_id", "event_type"])
-    return last_per_key(ds, "user_id", ["ts", "event_id"])
-
-
 def _q_doc_shuffle(sf_dir: str):
     """Deterministic global shuffle for training-data sharding: bucket =
     md5 first byte (ONE 256-way hash shuffle), within-bucket (digest,
@@ -1737,41 +1699,6 @@ def _q_doc_shuffle(sf_dir: str):
     from lingua_ray.stages.shuffle import deterministic_shuffle
     ds = _read(sf_dir, "documents", columns=["doc_id"])
     return deterministic_shuffle(ds)
-
-
-def _q_events_rollup(sf_dir: str):
-    """GROUP BY ROLLUP (event_type, hour): corpus aggregated once by the
-    finest combiner+groupby; coarser levels re-aggregate the tiny
-    previous level.  [SQL-verified]"""
-    from lingua_ray.functions.rollup import rollup_counts
-
-    def hour_cols(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        return pa.table({"event_type": batch.column("event_type"),
-                         "hour": pc.floor_temporal(batch.column("ts"),
-                                                   unit="hour")})
-
-    ds = _read(sf_dir, "events", columns=["ts", "event_type"])
-    out = rollup_counts(ds.map_batches(hour_cols, batch_format="pyarrow"),
-                        ["event_type", "hour"])
-
-    def desentinel(batch: pa.Table) -> pa.Table:
-        """Subtotal NULLs → sentinels: NaT/None don't hash-compare
-        stably across engines (numpy NaT != NaT), so the query surface
-        uses '(all)' / epoch; the operator itself keeps SQL NULL
-        semantics."""
-        import datetime
-        import pyarrow.compute as pc
-        epoch = pa.scalar(datetime.datetime(1970, 1, 1),
-                          type=pa.timestamp("us"))
-        return pa.table({
-            "event_type": pc.fill_null(batch.column("event_type"),
-                                       "(all)"),
-            "hour": pc.fill_null(batch.column("hour"), epoch),
-            "n": batch.column("n"),
-        })
-
-    return out.map_batches(desentinel, batch_format="pyarrow")
 
 
 def _q_doc_length_rank(sf_dir: str):
@@ -2776,43 +2703,6 @@ def _q_multilang_documents(sf_dir: str):
     return ds.map_batches(flatten, batch_format="pyarrow")
 
 
-def _q_events_sessions(sf_dir: str):
-    """Gap-based session windows (30-min inactivity) per user over the
-    events stream: (user_id, session_start, session_end, n_events).
-    groupby(user).map_groups with a vectorized per-group kernel — the
-    training-data analogue of a streaming session window.  [SQL-verified
-    against DuckDB window functions]"""
-    from lingua_ray.stages.windows import sessionize
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-    return sessionize(ds, gap_seconds=1800.0)
-
-
-def _q_events_lag(sf_dir: str):
-    """Per-key LAG window function: microsecond gap between each event
-    and the same user's previous event (events with no predecessor are
-    dropped, matching the SQL's IS NOT NULL).  One hash shuffle by
-    user_id, vectorized sort+diff inside map_groups.  [SQL-verified]"""
-
-    def lag_group(group: pa.Table) -> pa.Table:
-        ts = group.column("ts").to_numpy().astype(
-            "datetime64[us]").astype(np.int64)
-        eid = group.column("event_id").to_numpy()
-        order = np.lexsort((eid, ts))
-        ts, eid = ts[order], eid[order]
-        uid = group.column("user_id").take(pa.array(order))
-        gap = np.diff(ts)
-        return pa.table({
-            "event_id": pa.array(eid[1:]),
-            "user_id": uid.slice(1),
-            "ts": pa.array(ts[1:].astype("datetime64[us]")),
-            "gap_us": pa.array(gap),
-        })
-
-    ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    return ds.groupby("user_id").map_groups(
-        lag_group, batch_format="pyarrow")
-
-
 def _q_doc_entropy(sf_dir: str):
     """Per-document word-distribution entropy + hapax count — quality
     signals for degenerate/templated text; shuffle-free vectorized
@@ -3154,34 +3044,6 @@ def _q_doc_repetition(sf_dir: str):
         ["doc_id", "top_word_count", "n_words_rep"])
 
 
-def _q_events_sliding(sf_dir: str):
-    """Sliding-window counts (1 h window, 15 min slide): each event maps
-    to its 4 covering windows INSIDE the per-batch combiner (unique+count
-    partials), so the exchange is per-window partial counts, never the
-    duplicated events.  [SQL-verified]"""
-    from ray.data.aggregate import Sum
-
-    SLIDE_US = 15 * 60 * 1_000_000
-    WINDOWS = 4  # 1h window / 15min slide
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").to_numpy().astype(
-            "datetime64[us]").astype(np.int64)
-        bucket = ts // SLIDE_US
-        ws = np.concatenate([bucket - k for k in range(WINDOWS)])
-        vals, cnts = np.unique(ws, return_counts=True)
-        return pa.table({
-            "window_start": pa.array(
-                (vals * SLIDE_US).astype("datetime64[us]")),
-            "n": pa.array(cnts.astype(np.int64)),
-        })
-
-    ds = _read(sf_dir, "events", columns=["ts"])
-    out = ds.map_batches(partial, batch_format="pyarrow").groupby(
-        "window_start").aggregate(Sum("n"))
-    return out.rename_columns({"sum(n)": "n"})
-
-
 def _q_doc_length_quantiles(sf_dir: str):
     """Exact distributed quantiles via a histogram combiner: each batch
     emits (value, count) pairs for the bounded-cardinality n_chars column,
@@ -3329,61 +3191,6 @@ def _q_doc_length_topp(sf_dir: str):
     return docs.filter(expr=f"n_chars >= {found['p90']}")
 
 
-def _q_events_attribution(sf_dir: str):
-    """Last-touch attribution via the generic as-of join operator
-    (stages/asof.py): every purchase event joined to the same user's most
-    recent click at-or-before it.  Both sides are predicate-pushdown
-    reads; the only exchange is ONE hash shuffle by user_id; the merge is
-    a vectorized searchsorted inside map_groups.  Verified against
-    DuckDB's native ASOF JOIN.  [SQL-verified]"""
-    import pyarrow.compute as pc
-    import ray.data
-    from lingua_ray.stages.asof import asof_join
-
-    cols = ["user_id", "ts", "event_id"]
-
-    def side(event_type: str):
-        return ray.data.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=cols + ["event_type"],
-            filter=pc.field("event_type") == event_type)
-
-    out = asof_join(side("purchase"), side("click"), by="user_id", on="ts",
-                    keep=["event_id"], right_suffix="_click")
-
-    def add_gap(batch: pa.Table) -> pa.Table:
-        gap = pc.cast(
-            pc.subtract(batch.column("ts"), batch.column("ts_click")),
-            pa.int64())
-        return batch.append_column("gap_us", gap)
-
-    return out.map_batches(add_gap, batch_format="pyarrow")
-
-
-def _q_events_stats(sf_dir: str):
-    """Multi-aggregate groupby over the events stream table.  [SQL-verified]"""
-    from ray.data.aggregate import Count, Max, Min
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-    out = ds.groupby("event_type").aggregate(
-        Count(), Min("value"), Max("value"))
-    return out.rename_columns({"count()": "n", "min(value)": "min_value",
-                               "max(value)": "max_value"})
-
-
-def _q_events_hourly(sf_dir: str):
-    """Tumbling one-hour window counts (event-time bucketing inside
-    map_batches, then a small groupby).  [SQL-verified]"""
-    import pyarrow.compute as pc
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(batch.column("ts"), unit="hour")
-        return pa.table({"hour": hour})
-
-    ds = _read(sf_dir, "events", columns=["ts"])
-    out = ds.map_batches(bucket, batch_format="pyarrow")
-    return out.groupby("hour").count().rename_columns({"count()": "n"})
-
-
 def _query_vector(sf_dir: str) -> np.ndarray:
     # predicate-pushdown read: one row-group's worth of IO, never the table
     t = pq.read_table(f"{sf_dir}/embeddings.parquet",
@@ -3463,273 +3270,6 @@ def _q_distinct_words_exact(sf_dir: str):
     n = (ds.map_batches(vocab, batch_format="pyarrow")
          .groupby("word").count().count())
     return pa.table({"n_distinct_words": pa.array([n], pa.int64())})
-
-
-_EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
-
-
-def _q_events_pivot(sf_dir: str):
-    """Pivot via conditional aggregation: hourly event counts spread into
-    one column per event type.  The per-batch combiner emits at most one
-    row per distinct hour per block (unique + bincount, no Python loop),
-    so the exchange is the tiny pivoted partial table, never events.
-    [SQL-verified]"""
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").to_numpy().astype("datetime64[h]")
-        et = np.asarray(batch.column("event_type").to_numpy(
-            zero_copy_only=False))
-        hours, inv = np.unique(ts, return_inverse=True)
-        cols: dict[str, pa.Array] = {
-            "hour": pa.array(hours.astype("datetime64[us]"))}
-        for t in _EVENT_TYPES:
-            cols[f"n_{t}"] = pa.array(np.bincount(
-                inv[et == t], minlength=len(hours)).astype(np.int64))
-        cols["n_total"] = pa.array(
-            np.bincount(inv, minlength=len(hours)).astype(np.int64))
-        return pa.table(cols)
-
-    ds = _read(sf_dir, "events", columns=["ts", "event_type"])
-    aggs = [Sum(f"n_{t}") for t in _EVENT_TYPES] + [Sum("n_total")]
-    out = ds.map_batches(partial, batch_format="pyarrow").groupby(
-        "hour").aggregate(*aggs)
-    renames = {f"sum(n_{t})": f"n_{t}" for t in _EVENT_TYPES}
-    renames["sum(n_total)"] = "n_total"
-    return out.rename_columns(renames)
-
-
-def _q_events_top_spenders(sf_dir: str):
-    """Top-10 users by total event value — the top-k-AFTER-aggregation
-    composition: per-batch (user, cents) partial sums, a user-keyed
-    groupby-sum, then a per-block local top-10 so the final single-group
-    reduce sees ≤ 10 rows per block.  Ties break on user_id ascending.
-    [SQL-verified]"""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy()
-        cents = _sql_cents(batch.column("value").to_numpy())
-        uniq, inv = np.unique(uid, return_inverse=True)
-        csum = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(csum, inv, cents)
-        return pa.table({"user_id": pa.array(uniq),
-                         "cents": pa.array(csum)})
-
-    def topk(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy()
-        tot = batch.column("total_cents").to_numpy()
-        order = np.lexsort((uid, -tot))[:10]
-        return pa.table({"user_id": pa.array(uid[order]),
-                         "total_cents": pa.array(tot[order]),
-                         "k": pa.array(np.zeros(len(order), np.int64))})
-
-    def final(group: pa.Table) -> pa.Table:
-        uid = group.column("user_id").to_numpy()
-        tot = group.column("total_cents").to_numpy()
-        order = np.lexsort((uid, -tot))[:10]
-        return pa.table({"user_id": pa.array(uid[order]),
-                         "total_cents": pa.array(tot[order])})
-
-    ds = _read(sf_dir, "events", columns=["user_id", "value"])
-    totals = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("user_id").sum("cents")
-              .rename_columns({"sum(cents)": "total_cents"}))
-    return (totals.map_batches(topk, batch_format="pyarrow")
-            .groupby("k").map_groups(final, batch_format="pyarrow"))
-
-
-_EVENTS_TOP_SPENDERS_SQL = """
-    SELECT user_id,
-           CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
-               AS total_cents
-    FROM events GROUP BY user_id
-    ORDER BY total_cents DESC, user_id LIMIT 10
-"""
-
-
-def _q_events_funnel_count(sf_dir: str):
-    """MAX DISJOINT completed funnels (view→click→purchase triples, each
-    event used at most once) per user — the CEP-style state machine a
-    multi-pattern detector runs, vectorized via the ballot-style
-    prefix-slack identity instead of a per-row loop::
-
-        matched_pairs(i)  = c(i) − max(0, max_{j≤i}(c(j) − v(j)))
-        funnels           = p(n) − max(0, max_i(p(i) − matched_pairs(i)))
-
-    (equal to the greedy earliest-match counter — property-verified
-    against the scalar greedy on 20k random sequences in
-    test_windows.py).  Irrelevant event types are dropped at the
-    read-side map; one user-keyed shuffle; the per-group kernel is
-    cumsums + one accumulate-max.  [SQL-verified — nested running
-    windows reproduce the identity]"""
-    import pyarrow.compute as pc
-
-    def keep3(batch: pa.Table) -> pa.Table:
-        m = pc.is_in(batch.column("event_type"),
-                     value_set=pa.array(["view", "click", "purchase"]))
-        return batch.filter(m).select(["user_id", "ts", "event_id",
-                                       "event_type"])
-
-    def count_group(group: pa.Table) -> pa.Table:
-        ts = group.column("ts").to_numpy().astype(
-            "datetime64[us]").astype(np.int64)
-        eid = group.column("event_id").to_numpy()
-        order = np.lexsort((eid, ts))
-        et = np.asarray(group.column("event_type")
-                        .to_numpy(zero_copy_only=False))[order]
-        v = np.cumsum(et == "view")
-        c = np.cumsum(et == "click")
-        p = np.cumsum(et == "purchase")
-        m2 = c - np.maximum(np.maximum.accumulate(c - v), 0)
-        n = int(p[-1] - max(np.max(p - m2), 0)) if len(et) else 0
-        return pa.table({
-            "user_id": group.column("user_id").slice(0, 1),
-            "n_funnels": pa.array([n], type=pa.int64())})
-
-    ds = _read(sf_dir, "events",
-               columns=["user_id", "ts", "event_id", "event_type"])
-    return (ds.map_batches(keep3, batch_format="pyarrow")
-            .groupby("user_id").map_groups(count_group,
-                                           batch_format="pyarrow"))
-
-
-def _q_events_retention(sf_dir: str):
-    """Cohort retention: users bucketed by their FIRST active week
-    (epoch-week integer, floored, so a week before 1970 is negative in
-    both engines), then
-    distinct-user counts per (cohort_week, week_offset) — the
-    product-analytics triangle.  Per-block distinct (user, week)
-    combiner → groupby distinct → per-user map_groups (group =
-    weeks-per-user, bounded by the time span) emitting (cohort, offset)
-    rows → tiny count rollup.  [SQL-verified]"""
-    _WEEK_US = 604_800_000_000
-
-    def pairs_partial(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy().astype(np.int64)
-        w = (batch.column("ts").cast(pa.int64()).to_numpy()
-             // _WEEK_US).astype(np.int64)
-        order = np.lexsort((w, u))
-        us, ws = u[order], w[order]
-        first = np.ones(len(us), dtype=bool)
-        first[1:] = (us[1:] != us[:-1]) | (ws[1:] != ws[:-1])
-        return pa.table({"user_id": pa.array(us[first]),
-                         "week": pa.array(ws[first])})
-
-    def offsets_group(group: pa.Table) -> pa.Table:
-        w = np.unique(group.column("week").to_numpy())
-        return pa.table({
-            "cohort_week": pa.array(np.full(len(w), w.min(),
-                                            dtype=np.int64)),
-            "week_offset": pa.array(w - w.min())})
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        c = batch.column("cohort_week").to_numpy().astype(np.int64)
-        o = batch.column("week_offset").to_numpy().astype(np.int64)
-        order = np.lexsort((o, c))
-        cs, os_ = c[order], o[order]
-        first = np.ones(len(cs), dtype=bool)
-        first[1:] = (cs[1:] != cs[:-1]) | (os_[1:] != os_[:-1])
-        starts = np.flatnonzero(first)
-        runs = np.diff(np.concatenate([starts, [len(cs)]]))
-        return pa.table({
-            "cohort_week": pa.array(cs[starts]),
-            "week_offset": pa.array(os_[starts]),
-            "n_users": pa.array(runs.astype(np.int64))})
-
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-    pairs = (ds.map_batches(pairs_partial, batch_format="pyarrow")
-             .groupby(["user_id", "week"]).count()
-             .select_columns(["user_id", "week"]))
-    offs = pairs.groupby("user_id").map_groups(offsets_group,
-                                               batch_format="pyarrow")
-    return (offs.map_batches(count_partial, batch_format="pyarrow")
-            .groupby(["cohort_week", "week_offset"]).sum("n_users")
-            .map_batches(lambda b: pa.table({
-                "cohort_week": b.column("cohort_week"),
-                "week_offset": b.column("week_offset"),
-                "n_users": b.column("sum(n_users)")}),
-                batch_format="pyarrow"))
-
-
-def _q_events_funnel(sf_dir: str):
-    """Ordered funnel analysis (view → click → purchase): per user, the
-    furthest stage reached with strictly increasing timestamps between
-    stages — the product-analytics staple that needs per-key ORDERED
-    scans, not plain counts.  Irrelevant event types are filtered at the
-    read-side map (only 3/5 types ride the one user_id shuffle); the
-    per-group scan is three vectorized mins.  [SQL-verified]"""
-
-    def funnel_group(group: pa.Table) -> pa.Table:
-        ts = group.column("ts").to_numpy().astype(
-            "datetime64[us]").astype(np.int64)
-        et = np.asarray(group.column("event_type").to_numpy(
-            zero_copy_only=False))
-        views = ts[et == "view"]
-        if len(views) == 0:
-            return pa.table({"user_id": pa.array([], type=pa.int64()),
-                             "stage": pa.array([], type=pa.int64())})
-        t1 = views.min()
-        stage = 1
-        clicks = ts[(et == "click") & (ts > t1)]
-        if len(clicks):
-            stage = 2
-            t2 = clicks.min()
-            if ((et == "purchase") & (ts > t2)).any():
-                stage = 3
-        uid = group.column("user_id")[0].as_py()
-        return pa.table({"user_id": pa.array([uid], type=pa.int64()),
-                         "stage": pa.array([stage], type=pa.int64())})
-
-    ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-    ds = ds.filter(
-        expr="event_type == 'view' or event_type == 'click' "
-             "or event_type == 'purchase'")
-    return ds.groupby("user_id").map_groups(
-        funnel_group, batch_format="pyarrow")
-
-
-_EVENTS_FUNNEL_SQL = """
-    WITH v AS (SELECT user_id, min(ts) AS t1 FROM events
-               WHERE event_type = 'view' GROUP BY user_id),
-    c AS (SELECT e.user_id, min(e.ts) AS t2 FROM events e
-          JOIN v USING (user_id)
-          WHERE e.event_type = 'click' AND e.ts > v.t1
-          GROUP BY e.user_id),
-    p AS (SELECT e.user_id, min(e.ts) AS t3 FROM events e
-          JOIN c USING (user_id)
-          WHERE e.event_type = 'purchase' AND e.ts > c.t2
-          GROUP BY e.user_id)
-    SELECT v.user_id,
-           CASE WHEN p.user_id IS NOT NULL THEN 3
-                WHEN c.user_id IS NOT NULL THEN 2
-                ELSE 1 END AS stage
-    FROM v LEFT JOIN c USING (user_id) LEFT JOIN p USING (user_id)
-"""
-
-
-def _q_events_cumsum(sf_dir: str):
-    """Per-user RUNNING TOTAL (the window-function ``SUM ... OVER
-    (PARTITION BY user ORDER BY ts) ROWS UNBOUNDED PRECEDING`` pattern):
-    one hash shuffle by user_id, then a vectorized sort+cumsum inside
-    map_groups.  Values accumulate as integer cents so the two engines'
-    float-summation order can't diverge.  [SQL-verified]"""
-
-    def cumsum_group(group: pa.Table) -> pa.Table:
-        ts = group.column("ts").to_numpy().astype(
-            "datetime64[us]").astype(np.int64)
-        eid = group.column("event_id").to_numpy()
-        cents = _sql_cents(group.column("value").to_numpy())
-        order = np.lexsort((eid, ts))
-        return pa.table({
-            "event_id": pa.array(eid[order]),
-            "user_id": group.column("user_id").take(pa.array(order)),
-            "run_cents": pa.array(np.cumsum(cents[order])),
-        })
-
-    ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts",
-                                          "value"])
-    return ds.groupby("user_id").map_groups(
-        cumsum_group, batch_format="pyarrow")
 
 
 def _q_docs_per_source_cap(sf_dir: str):
@@ -4262,32 +3802,6 @@ def _q_turn_length_quantiles_by_role(sf_dir: str):
 
 # ------------------------------------------- round-5 tranche, second wave
 
-def _q_events_dau(sf_dir: str):
-    """Daily active users — exact distinct via the two-stage distinct
-    pattern (per-block DISTINCT (day, user) pairs, one dedupe groupby,
-    one per-day count): the exchange carries at most |days × users|
-    16-byte pairs per block, never events.  [SQL-verified]"""
-    import pyarrow.compute as pc
-
-    def pairs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"day": pa.array([], pa.timestamp("us")),
-                             "user_id": pa.array([], pa.int64())})
-        day = (pc.cast(pc.floor_temporal(batch.column("ts"), unit="day"),
-                       pa.int64()).to_numpy(zero_copy_only=False))
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False)
-        key = np.stack([day, uid], axis=1)
-        uk = np.unique(key, axis=0)
-        return pa.table({"day": pa.array(uk[:, 0]).cast(pa.timestamp("us")),
-                         "user_id": pa.array(uk[:, 1])})
-
-    ds = _read(sf_dir, "events", columns=["ts", "user_id"])
-    dedup = (ds.map_batches(pairs, batch_format="pyarrow")
-             .groupby(["day", "user_id"]).count())
-    return (dedup.groupby("day").count()
-            .rename_columns({"count()": "dau"}))
-
-
 def _q_conv_duration_stats(sf_dir: str):
     """Per-conversation duration and pace: turn count, wall-clock span in
     exact microseconds, and turns/minute (round 6; 0 for zero-span
@@ -4342,55 +3856,6 @@ def _q_conv_duration_stats(sf_dir: str):
     return agg.map_batches(finalize, batch_format="pyarrow")
 
 
-def _q_events_anomaly_zscore(sf_dir: str):
-    """Daily-count anomaly score per event type: z-score of each (type,
-    day) count against that type's own daily distribution (population
-    std via the sum/sumsq identity, partitioned by type).  The (type,
-    day, n) table is provably tiny (|types| × |days|), so stats assemble
-    on the driver after one combiner + groupby.  [SQL-verified]"""
-    import pyarrow.compute as pc
-    from lingua_ray.stages.util import round_half_away
-
-    def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"event_type": pa.array([], pa.string()),
-                             "day": pa.array([], pa.timestamp("us")),
-                             "n": pa.array([], pa.int64())})
-        day = (pc.cast(pc.floor_temporal(batch.column("ts"), unit="day"),
-                       pa.int64()).to_numpy(zero_copy_only=False))
-        et = np.asarray(batch.column("event_type")
-                        .to_numpy(zero_copy_only=False))
-        ue, codes = np.unique(et, return_inverse=True)
-        uk, cnt = np.unique(np.stack([codes, day], axis=1), axis=0,
-                            return_counts=True)
-        return pa.table({
-            "event_type": pa.array(ue[uk[:, 0]]),
-            "day": pa.array(uk[:, 1]).cast(pa.timestamp("us")),
-            "n": pa.array(cnt.astype(np.int64))})
-
-    ds = _read(sf_dir, "events", columns=["ts", "event_type"])
-    rows = (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(["event_type", "day"]).sum("n").take_all())
-    et = np.array([r["event_type"] for r in rows])
-    day = np.array([r["day"] for r in rows])
-    n = np.array([r["sum(n)"] for r in rows], np.float64)
-    ue, codes = np.unique(et, return_inverse=True)
-    cnt = np.bincount(codes, minlength=len(ue))
-    s = np.bincount(codes, weights=n, minlength=len(ue))
-    ss = np.bincount(codes, weights=n * n, minlength=len(ue))
-    mean = s / cnt
-    var = np.maximum(ss / cnt - mean * mean, 0.0)
-    std = np.sqrt(var)
-    z = np.where(std[codes] > 0,
-                 (n - mean[codes]) / np.where(std[codes] > 0,
-                                              std[codes], 1.0), 0.0)
-    return pa.table({
-        "event_type": pa.array(et),
-        "day": pa.array(list(day), pa.timestamp("us")),
-        "n": pa.array(n.astype(np.int64)),
-        "z": pa.array(round_half_away(z, 6))})
-
-
 def _q_source_lang_entropy(sf_dir: str):
     """Language-mix entropy per source (nats) — the diversity panel of a
     data card: -Σ p·ln p over each source's language distribution.  One
@@ -4434,7 +3899,7 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    # 145 queries, 117 of them SQL-verified: ``oracle_sql()`` holds a
+    # 128 queries, 100 of them SQL-verified: ``oracle_sql()`` holds a
     # DuckDB statement for each, over the same parquet views.  The other
     # 28 are rows-only and gated by pytest instead: model inference
     # (langid, perplexity, k-means, eigensolves), custom hash families
@@ -4446,8 +3911,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # The order below carries no meaning.
     return {
         "corpus_datacard": _q_corpus_datacard,
-        "events_funnel_count": _q_events_funnel_count,
-        "events_retention": _q_events_retention,
         "transcript_tool_chains": _q_transcript_tool_chains,
         "conv_context_truncate": _q_conv_context_truncate,
         "conv_role_balance": _q_conv_role_balance,
@@ -4481,16 +3944,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "length_stratified_split": _q_length_stratified_split,
         "redpajama_signals": _q_redpajama_signals,
         "turn_length_quantiles_by_role": _q_turn_length_quantiles_by_role,
-        "events_dau": _q_events_dau,
         "conv_duration_stats": _q_conv_duration_stats,
-        "events_anomaly_zscore": _q_events_anomaly_zscore,
         "source_lang_entropy": _q_source_lang_entropy,
-        "events_rollup": _q_events_rollup,
         "langid_documents": _q_langid_documents,
         "doc_length_pctrank": _q_doc_length_pctrank,
         "doc_length_rank": _q_doc_length_rank,
-        "events_stats": _q_events_stats,
-        "events_hourly": _q_events_hourly,
         "langid_documents_lowacc": _q_langid_documents_lowacc,
         "multilang_documents": _q_multilang_documents,
         "accuracy_report": _q_accuracy_report,
@@ -4502,8 +3960,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dedup_clusters": _q_dedup_clusters,
         "simhash": _q_simhash,
         "embedding_pca_stats": _q_embedding_pca_stats,
-        "events_sessions": _q_events_sessions,
-        "events_attribution": _q_events_attribution,
         "doc_length_quantiles": _q_doc_length_quantiles,
         "doc_length_quantiles_by_lang": _q_doc_length_quantiles_by_lang,
         "doc_length_minmax_by_lang": _q_doc_length_minmax_by_lang,
@@ -4512,13 +3968,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_repetition": _q_doc_repetition,
         "doc_dup_ngrams": _q_doc_dup_ngrams,
         "doc_entropy": _q_doc_entropy,
-        "events_lag": _q_events_lag,
-        "events_sliding": _q_events_sliding,
         "distinct_words_exact": _q_distinct_words_exact,
-        "events_pivot": _q_events_pivot,
-        "events_cumsum": _q_events_cumsum,
-        "events_funnel": _q_events_funnel,
-        "events_top_spenders": _q_events_top_spenders,
         "docs_per_source_cap": _q_docs_per_source_cap,
         "lang_temperature_mix": _q_lang_temperature_mix,
         "weighted_sample": _q_weighted_sample,
@@ -4585,8 +4035,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "knn_bruteforce": _q_knn_bruteforce,
         "embedding_centroid_by_label": _q_embedding_centroid_by_label,
         "linear_probe_stats": _q_linear_probe_stats,
-        "events_last_per_user": _q_events_last_per_user,
-        "events_value_salted": _q_events_value_salted,
         "langid_confidences": _q_langid_confidences,
         "seq_packing_by_lang": _q_seq_packing_by_lang,
         "dedup_fuzzy_keep": _q_dedup_fuzzy_keep,
@@ -5163,16 +4611,8 @@ def oracle_sql() -> dict[str, str]:
         "dedup_incremental": _dedup_incremental_sql(),
         "dedup_indexed": _dedup_incremental_sql(),
         "dedup_incremental_bloom": _dedup_incremental_sql(),
-        "events_funnel": _EVENTS_FUNNEL_SQL,
-        "events_top_spenders": _EVENTS_TOP_SPENDERS_SQL,
         "doc_dup_ngrams": _DOC_DUP_NGRAMS_SQL,
         "embedding_centroid_by_label": _EMBEDDING_CENTROID_SQL,
-        "events_cumsum": """
-            SELECT event_id, user_id,
-                   CAST(sum(CAST(round(value * 100) AS BIGINT)) OVER (
-                       PARTITION BY user_id ORDER BY ts, event_id
-                       ROWS UNBOUNDED PRECEDING) AS BIGINT) AS run_cents
-            FROM events""",
         "docs_per_source_cap": """
             SELECT source, doc_id FROM (
               SELECT source, doc_id,
@@ -5276,17 +4716,6 @@ def oracle_sql() -> dict[str, str]:
             ORDER BY n DESC, word ASC
             LIMIT 100
         """,
-        "events_value_salted": """
-            SELECT event_type,
-              CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
-                AS sum_cents
-            FROM events GROUP BY event_type
-        """,
-        "events_last_per_user": """
-            SELECT event_id, ts, user_id, event_type FROM events
-            QUALIFY row_number() OVER (
-              PARTITION BY user_id ORDER BY ts DESC, event_id DESC) = 1
-        """,
         "doc_shuffle": """
             SELECT doc_id,
               substring(md5(CAST(doc_id AS VARCHAR)), 1, 2) AS bucket,
@@ -5295,16 +4724,6 @@ def oracle_sql() -> dict[str, str]:
                 ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id)
                AS BIGINT) AS pos
             FROM documents
-        """,
-        "events_rollup": """
-            SELECT coalesce(event_type, '(all)') AS event_type,
-                   coalesce(hour, TIMESTAMP '1970-01-01') AS hour, n
-            FROM (
-              SELECT event_type, date_trunc('hour', ts) AS hour,
-                     count(*) AS n
-              FROM events
-              GROUP BY ROLLUP (event_type, date_trunc('hour', ts))
-            )
         """,
         "doc_length_rank": """
             SELECT doc_id, n_chars,
@@ -5495,47 +4914,6 @@ def oracle_sql() -> dict[str, str]:
             FROM r JOIN documents d ON d.doc_id = r.doc_id
             WHERE rn = 1
         """,
-        "events_retention": """
-            WITH p AS (
-              SELECT DISTINCT user_id,
-                CAST(epoch_us(time_bucket(INTERVAL '1 week', ts,
-                  TIMESTAMP '1970-01-01')) // 604800000000 AS BIGINT) AS week
-              FROM events),
-            c AS (SELECT user_id, min(week) AS cohort_week
-                  FROM p GROUP BY user_id)
-            SELECT c.cohort_week, p.week - c.cohort_week AS week_offset,
-              CAST(count(*) AS BIGINT) AS n_users
-            FROM p JOIN c ON p.user_id = c.user_id
-            GROUP BY c.cohort_week, p.week - c.cohort_week
-        """,
-        "events_funnel_count": """
-            WITH e AS (
-              SELECT user_id, ts, event_id,
-                CASE event_type WHEN 'view' THEN 1 ELSE 0 END AS iv,
-                CASE event_type WHEN 'click' THEN 1 ELSE 0 END AS ic,
-                CASE event_type WHEN 'purchase' THEN 1 ELSE 0 END AS ip
-              FROM events
-              WHERE event_type IN ('view', 'click', 'purchase')),
-            r AS (
-              SELECT user_id, ts, event_id,
-                sum(iv) OVER w AS v, sum(ic) OVER w AS c,
-                sum(ip) OVER w AS p
-              FROM e
-              WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id
-                           ROWS UNBOUNDED PRECEDING)),
-            s AS (
-              SELECT user_id, p,
-                c - GREATEST(max(c - v) OVER w, 0) AS m2
-              FROM r
-              WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id
-                           ROWS UNBOUNDED PRECEDING)),
-            g AS (
-              SELECT user_id, max(p) AS ptot,
-                     GREATEST(max(p - m2), 0) AS d3
-              FROM s GROUP BY user_id)
-            SELECT user_id, CAST(ptot - d3 AS BIGINT) AS n_funnels
-            FROM g
-        """,
         "weighted_sample_by_lang": """
             SELECT lang, doc_id, n_chars, rn FROM (
               SELECT lang, doc_id, n_chars,
@@ -5715,42 +5093,6 @@ def oracle_sql() -> dict[str, str]:
               vec_id
             LIMIT 10
         """,
-        "events_stats": """
-            SELECT event_type, count(*) AS n,
-                   min(value) AS min_value, max(value) AS max_value
-            FROM events GROUP BY event_type
-        """,
-        "events_hourly": """
-            SELECT date_trunc('hour', ts) AS hour, count(*) AS n
-            FROM events GROUP BY date_trunc('hour', ts)
-        """,
-        "events_sessions": """
-            WITH marked AS (
-              SELECT user_id, ts,
-                CASE WHEN lag(ts) OVER w IS NULL
-                       OR ts - lag(ts) OVER w > INTERVAL 30 MINUTE
-                     THEN 1 ELSE 0 END AS brk
-              FROM events
-              WINDOW w AS (PARTITION BY user_id ORDER BY ts)
-            ), sess AS (
-              SELECT user_id, ts,
-                SUM(brk) OVER (PARTITION BY user_id ORDER BY ts
-                               ROWS UNBOUNDED PRECEDING) AS sid
-              FROM marked
-            )
-            SELECT user_id, min(ts) AS session_start,
-                   max(ts) AS session_end, count(*) AS n_events
-            FROM sess GROUP BY user_id, sid
-        """,
-        "events_lag": """
-            SELECT event_id, user_id, ts, gap_us FROM (
-              SELECT event_id, user_id, ts,
-                date_diff('microsecond',
-                  lag(ts) OVER (PARTITION BY user_id
-                                ORDER BY ts, event_id), ts) AS gap_us
-              FROM events)
-            WHERE gap_us IS NOT NULL
-        """,
         "doc_repetition": """
             SELECT doc_id, max(c) AS top_word_count,
                    CAST(sum(c) AS BIGINT) AS n_words_rep
@@ -5760,14 +5102,6 @@ def oracle_sql() -> dict[str, str]:
                 FROM documents)
               GROUP BY doc_id, w)
             GROUP BY doc_id
-        """,
-        "events_sliding": """
-            SELECT make_timestamp(epoch_us(time_bucket(
-                     INTERVAL '15 minutes', ts, TIMESTAMP '1970-01-01'))
-                     - k * 900000000) AS window_start,
-                   count(*) AS n
-            FROM events, (SELECT unnest(range(4)) AS k)
-            GROUP BY 1
         """,
         "doc_length_quantiles": """
             SELECT count(*) AS n_docs,
@@ -5798,28 +5132,10 @@ def oracle_sql() -> dict[str, str]:
             WHERE n_chars >= (SELECT quantile_disc(n_chars, 0.9)
                               FROM documents)
         """,
-        "events_attribution": """
-            SELECT p.user_id, p.ts, p.event_id,
-                   c.ts AS ts_click, c.event_id AS event_id_click,
-                   date_diff('microsecond', c.ts, p.ts) AS gap_us
-            FROM (SELECT * FROM events WHERE event_type = 'purchase') p
-            ASOF JOIN (SELECT * FROM events WHERE event_type = 'click') c
-              ON p.user_id = c.user_id AND p.ts >= c.ts
-        """,
         "distinct_words_exact": """
             SELECT count(DISTINCT word) AS n_distinct_words
             FROM (SELECT unnest(string_split(coalesce(text, ''), ' ')) AS word
                   FROM documents)
-        """,
-        "events_pivot": """
-            SELECT date_trunc('hour', ts) AS hour,
-              count(*) FILTER (WHERE event_type = 'click') AS n_click,
-              count(*) FILTER (WHERE event_type = 'error') AS n_error,
-              count(*) FILTER (WHERE event_type = 'purchase') AS n_purchase,
-              count(*) FILTER (WHERE event_type = 'signup') AS n_signup,
-              count(*) FILTER (WHERE event_type = 'view') AS n_view,
-              count(*) AS n_total
-            FROM events GROUP BY 1
         """,
     }
     # identical scores by construction: the persisted-index probe reads
@@ -5943,11 +5259,6 @@ def oracle_sql() -> dict[str, str]:
                 ELSE 0 END, 6) AS mean_word_len
         FROM l JOIN w ON l.doc_id = w.doc_id
     """
-    sqls["events_dau"] = """
-        SELECT date_trunc('day', ts) AS day,
-               CAST(count(DISTINCT user_id) AS BIGINT) AS dau
-        FROM events GROUP BY day
-    """
     sqls["conv_duration_stats"] = _transcript_oracle("""
         SELECT conv_id, CAST(count(*) AS BIGINT) AS n_turns,
           CAST(epoch_us(max(ts)) - epoch_us(min(ts)) AS BIGINT)
@@ -5958,26 +5269,6 @@ def oracle_sql() -> dict[str, str]:
                 ELSE 0 END, 6) AS turns_per_min
         FROM {src} GROUP BY conv_id
     """)
-    sqls["events_anomaly_zscore"] = """
-        WITH d AS (
-          SELECT event_type, date_trunc('day', ts) AS day,
-                 CAST(count(*) AS BIGINT) AS n
-          FROM events GROUP BY event_type, day)
-        SELECT event_type, day, n,
-          round(CASE WHEN sqrt(greatest(
-                  sum(CAST(n AS DOUBLE) * n) OVER w / count(*) OVER w
-                  - (sum(CAST(n AS DOUBLE)) OVER w / count(*) OVER w)
-                    * (sum(CAST(n AS DOUBLE)) OVER w / count(*) OVER w),
-                  0)) > 0
-            THEN (n - sum(CAST(n AS DOUBLE)) OVER w / count(*) OVER w)
-                 / sqrt(greatest(
-                  sum(CAST(n AS DOUBLE) * n) OVER w / count(*) OVER w
-                  - (sum(CAST(n AS DOUBLE)) OVER w / count(*) OVER w)
-                    * (sum(CAST(n AS DOUBLE)) OVER w / count(*) OVER w),
-                  0))
-            ELSE 0 END, 6) AS z
-        FROM d WINDOW w AS (PARTITION BY event_type)
-    """
     sqls["source_lang_entropy"] = """
         WITH c AS (
           SELECT source, lang, CAST(count(*) AS BIGINT) AS n

@@ -124,18 +124,17 @@ def run_queries(sf_dir: str, repeat: int = 2) -> dict[str, float]:
     bench_queries = ["langid_documents", "doc_quality", "doc_scrub",
                      "doc_tokens", "dedup_exact", "dedup_minhash",
                      "dedup_clusters", "simhash", "knn_bruteforce", "lang_hist",
-                     "events_sessions",
                      "ngram_counts", "train_ngrams", "contamination",
                      "stratified_sample", "doc_tfidf", "corpus_mix",
                      "seq_packing", "para_dedup", "dedup_incremental",
                      # round-2 second-wave operators
                      "word_heavy_hitters",
-                     "doc_length_rank", "events_rollup", "bigram_pmi",
+                     "doc_length_rank", "bigram_pmi",
                      "doc_budget_selection", "doc_entropy", "doc_chunks",
                      # round-3 operators (dedup_jaccard excluded: the
                      # exact similarity self-join costs ~30-60 s at sf0.1
                      # on this corpus shape — see BASELINE.md)
-                     "line_dedup", "events_cumsum", "docs_per_source_cap",
+                     "line_dedup", "docs_per_source_cap",
                      "lang_temperature_mix", "weighted_sample",
                      "embedding_inference",
                      # late-round-3 transcript-table operators
@@ -161,8 +160,7 @@ def run_queries(sf_dir: str, repeat: int = 2) -> dict[str, float]:
                      "conv_lang_switches", "conv_neardup",
                      "transcript_refusals", "weighted_sample_by_lang",
                      "session_turn_dedup", "bm25_indexed",
-                     "transcript_validation", "events_funnel_count",
-                     "events_retention", "nb_confusion",
+                     "transcript_validation", "nb_confusion",
                      "corpus_datacard",
                      # round-5 curation tranche
                      "dedup_keep_best", "pii_leak_report",
@@ -170,9 +168,8 @@ def run_queries(sf_dir: str, repeat: int = 2) -> dict[str, float]:
                      "code_fence_stats", "repeated_prefix_convs",
                      "conv_response_latency", "length_stratified_split",
                      "redpajama_signals",
-                     "turn_length_quantiles_by_role", "events_dau",
-                     "conv_duration_stats", "events_anomaly_zscore",
-                     "source_lang_entropy"]
+                     "turn_length_quantiles_by_role",
+                     "conv_duration_stats", "source_lang_entropy"]
     qs = E.queries()
     import ray
     for _ in range(max(1, repeat)):

@@ -1,9 +1,10 @@
-"""Arg-max per key: the full latest/greatest row of each group.
+"""First row per key: the full earliest/least row of each group.
 
-``last_per_key(ds, key, order_cols)`` returns, for every distinct key,
-the single row that is maximal under the lexicographic order of
+``first_per_key(ds, key, order_cols)`` returns, for every distinct key,
+the single row that is minimal under the lexicographic order of
 ``order_cols`` (supply a trailing unique column to make the order
-total, e.g. ``["ts", "event_id"]``).
+total, e.g. ``["n_chars", "doc_id"]``).  ``argmax_local`` is the block
+kernel; it keeps either end of the order.
 
 Scale shape: a per-batch combiner reduces every block to ≤ one row per
 key BEFORE the exchange, so the single hash shuffle carries
@@ -46,23 +47,14 @@ def argmax_local(batch: pa.Table, key_col: str, order_cols: list[str],
     return s.take(pa.array(idx))
 
 
-def _per_key(ds, key_col: str, order_cols: list[str], keep: str):
+def first_per_key(ds, key_col: str, order_cols: list[str]):
+    """One row per key — the arg-min under ``order_cols``."""
     def finalize(group: pa.Table) -> pa.Table:
-        return argmax_local(group, key_col, order_cols, keep=keep)
+        return argmax_local(group, key_col, order_cols, keep="min")
 
     combined = ds.map_batches(argmax_local, batch_format="pyarrow",
                               fn_kwargs={"key_col": key_col,
                                          "order_cols": order_cols,
-                                         "keep": keep})
+                                         "keep": "min"})
     return combined.groupby(key_col).map_groups(finalize,
                                                 batch_format="pyarrow")
-
-
-def last_per_key(ds, key_col: str, order_cols: list[str]):
-    """One row per key — the arg-max under ``order_cols``."""
-    return _per_key(ds, key_col, order_cols, "max")
-
-
-def first_per_key(ds, key_col: str, order_cols: list[str]):
-    """One row per key — the arg-min under ``order_cols``."""
-    return _per_key(ds, key_col, order_cols, "min")

@@ -1,11 +1,11 @@
 """Distributed anti-join (NOT EXISTS) over Ray Data.
 
-Ray Data's `Dataset.join` has no anti mode; this composes one from the
-same co-partition primitive as `stages/asof.py`: the right side is
-reduced to its DISTINCT keys inside a per-batch combiner (so the
-exchange carries keys, never right-side rows), both sides are unioned
-with a side tag and hash-shuffled ONCE by the key, and a trivial
-map_groups drops each key's left rows when a right key is present.
+Ray Data's `Dataset.join` has no anti mode; this composes one from a
+co-partition: the right side is reduced to its DISTINCT keys inside a
+per-batch combiner (so the exchange carries keys, never right-side
+rows), both sides are unioned with a side tag and hash-shuffled ONCE by
+the key, and a trivial map_groups drops each key's left rows when a
+right key is present.
 
 Scale shape: the shuffle payload is |left| rows + |distinct right keys|;
 a skewed key only concentrates LEFT rows (right contributes one row per

@@ -4,7 +4,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from lingua_ray.functions.argmax import argmax_local, last_per_key
+from lingua_ray.functions.argmax import argmax_local
 
 
 def _events(n=2000, seed=13):
@@ -24,21 +24,6 @@ def test_argmax_local_keeps_block_winners():
     out = argmax_local(t, "k", ["o", "id"])
     got = {r["k"]: (r["o"], r["id"]) for r in out.to_pylist()}
     assert got == {"x": (3, 12), "y": (5, 11)}
-
-
-def test_last_per_key_matches_pandas(ray_session):
-    import ray.data
-    t = _events()
-    ds = ray.data.from_arrow(t).repartition(9)
-    got = pd.DataFrame(
-        last_per_key(ds, "user_id", ["ts", "event_id"]).take_all())
-    df = t.to_pandas()
-    want = (df.sort_values(["ts", "event_id"])
-            .groupby("user_id").tail(1))
-    got = got.sort_values("user_id", ignore_index=True)
-    want = want.sort_values("user_id", ignore_index=True)
-    pd.testing.assert_frame_equal(
-        got[["user_id", "event_id"]], want[["user_id", "event_id"]])
 
 
 def test_first_per_key_matches_pandas(ray_session):

@@ -43,14 +43,6 @@ def test_doc_kernels_empty():
                                                   "digest"]
 
 
-def test_salted_combine_empty(ray_session):
-    import ray.data
-    from lingua_ray.functions.salted import salted_sum
-    t = _empty(k=pa.string(), v=pa.int64())
-    out = salted_sum(ray.data.from_arrow(t), "k", "v").take_all()
-    assert out == []
-
-
 def test_round3_kernels_empty():
     from lingua_ray.stages.quality import (entropy_batch,
                                            gopher_signals_batch,

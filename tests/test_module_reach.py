@@ -1,7 +1,8 @@
-"""Every ``lingua_ray`` module has an importer outside the test suites, and
-every public top-level function and class is referenced by the program: a
-module or function that only its own tests use is code the program never
-runs."""
+"""Every ``lingua_ray`` module has an importer outside the test suites,
+every public top-level function and class is referenced by the program,
+and so is every private top-level function, class and constant of
+``lingua_ray`` and ``__ray_entry__.py``: a module or name that only its
+own tests use is code the program never runs."""
 
 import ast
 from pathlib import Path
@@ -61,7 +62,7 @@ def test_every_lingua_ray_module_has_a_program_importer():
     assert unreached == [], f"no importer outside tests/: {unreached}"
 
 
-# Public names that only tests use (qualified name -> the test that does).
+# Names that only tests use (qualified name -> the test that does).
 # Each is a candidate for deletion; none may join without a reason.
 TEST_ONLY = {
     "lingua_ray.pipelines.accuracy.write_report":
@@ -71,43 +72,90 @@ TEST_ONLY = {
         "tests/test_dedup_index.py",
     "lingua_ray.stages.dedup_index.append_to_minhash_index":
         "tests/test_dedup_index.py",
+    # the scalar reference that fingerprint64_array is checked against
+    # (tests/test_dedup_ann.py compares them too): safety code, kept
+    "lingua_ray.functions.textstats._fingerprint64": "tests/test_property.py",
 }
 
 
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    """Names a top-level statement defines: a function, a class or the
+    plain-name targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [stmt.name]
+    targets = ([stmt.target] if isinstance(stmt, ast.AnnAssign)
+               else stmt.targets if isinstance(stmt, ast.Assign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
 def _referenced_names() -> set[str]:
-    """Every name a program file loads, reads as an attribute or imports.
-    A re-export in a package ``__init__.py`` is not a use: it would keep a
-    name that nothing calls looking referenced."""
+    """Every name a program file loads, reads as an attribute or imports,
+    outside the top-level statement that defines it: a recursive call or
+    a constant's own assignment is not a use.  A re-export in a package
+    ``__init__.py`` is not a use either: it would keep a name that
+    nothing calls looking referenced."""
     names = set()
     for path in _program_files():
         reexports = path.name == "__init__.py"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias) and not reexports:
-                names.add(node.name.rpartition(".")[2])
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            used = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) \
+                        and not isinstance(node.ctx, ast.Store):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias) and not reexports:
+                    used.add(node.name.rpartition(".")[2])
+            names |= used - set(_defined_names(stmt))
     return names
 
 
-def test_every_public_lingua_ray_function_is_referenced():
+def _unreached(paths, wanted) -> set[str]:
+    """Qualified top-level names in ``paths`` that ``wanted(stmt, name)``
+    selects and no program file references."""
     referenced = _referenced_names()
-    unreached = set()
-    for path in sorted((ROOT / "lingua_ray").rglob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and node.name not in referenced):
-                unreached.add(f"{_module_name(path)}.{node.name}")
-    assert sorted(unreached - TEST_ONLY.keys()) == [], \
-        "referenced nowhere outside its own def"
-    assert sorted(TEST_ONLY.keys() - unreached) == [], \
+    return {f"{_module_name(path)}.{name}"
+            for path in paths
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+            for name in _defined_names(stmt)
+            if wanted(stmt, name) and name not in referenced}
+
+
+def _check_test_only(unreached: set[str], private: bool):
+    expected = {n for n in TEST_ONLY
+                if n.rpartition(".")[2].startswith("_") == private}
+    assert sorted(unreached - expected) == [], \
+        "referenced nowhere outside its own definition"
+    assert sorted(expected - unreached) == [], \
         "now referenced by the program (or deleted): drop from TEST_ONLY"
-    for name, test in TEST_ONLY.items():
+    for name in expected:
         short = name.rpartition(".")[2]
-        assert short in (ROOT / test).read_text(encoding="utf-8"), name
+        assert short in (ROOT / TEST_ONLY[name]).read_text(encoding="utf-8"), \
+            name
+
+
+def test_every_public_lingua_ray_function_is_referenced():
+    def public_def(stmt, name):
+        return (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                and not name.startswith("_"))
+
+    _check_test_only(_unreached(sorted((ROOT / "lingua_ray").rglob("*.py")),
+                                public_def), private=False)
+
+
+def test_every_private_top_level_name_is_referenced():
+    """Private functions, classes and module-level constants too: a helper
+    or constant left behind when its last caller is deleted is dead."""
+    def private(stmt, name):
+        return name.startswith("_") and not name.startswith("__")
+
+    paths = sorted((ROOT / "lingua_ray").rglob("*.py")) \
+        + [ROOT / "__ray_entry__.py"]
+    _check_test_only(_unreached(paths, private), private=True)
 
 
 def test_program_uses_no_private_dataset_attributes():

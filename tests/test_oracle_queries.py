@@ -1,5 +1,5 @@
 """SQL-verified queries run against their ``oracle_sql()`` DuckDB statement
-at sf0.001 (the document, events and embedding families), compared as
+at sf0.001 (the document and embedding families), compared as
 sorted frames."""
 
 import re
@@ -21,23 +21,21 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
 @pytest.fixture(scope="module")
 def oracle_con():
     con = duckdb.connect()
-    for t in ("documents", "events", "embeddings"):
+    for t in ("documents", "embeddings"):
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
                     f"read_parquet('{SF}/{t}.parquet')")
     return con
 
 
 @pytest.mark.parametrize("name", [
-    "doc_length_quantiles", "doc_repetition", "events_sliding",
-    "events_lag", "para_dedup", "dedup_incremental", "doc_length_topp",
-    "distinct_words_exact", "events_pivot", "events_cumsum",
+    "doc_length_quantiles", "doc_repetition", "para_dedup",
+    "dedup_incremental", "doc_length_topp", "distinct_words_exact",
     "docs_per_source_cap", "lang_temperature_mix", "line_dedup",
-    "events_funnel", "embedding_centroid_by_label", "events_top_spenders",
-    "doc_dup_ngrams", "weighted_sample", "embedding_inference",
+    "embedding_centroid_by_label", "doc_dup_ngrams", "weighted_sample", "embedding_inference",
     "gopher_filter", "substring_dedup", "substring_dedup_winnowed",
     "dedup_indexed", "bm25_topk", "dsir_select", "ccnet_buckets",
     "nb_lang_classify", "weighted_sample_by_lang", "nb_confusion",
-    "corpus_datacard", "events_funnel_count", "bm25_indexed"])
+    "corpus_datacard", "bm25_indexed"])
 def test_query_matches_duckdb(ray_session, oracle_con, name):
     import __ray_entry__ as E
 

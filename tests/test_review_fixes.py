@@ -98,25 +98,16 @@ def test_null_typed_text_blocks_tolerated():
         assert out.num_rows >= 1, fn.__name__
 
 
-def test_sql_cents_matches_duckdb_round():
-    """_sql_cents must reproduce DuckDB round(CAST(v AS DOUBLE) * 100)
+def test_round_half_away_matches_duckdb_round():
+    """round_half_away must reproduce DuckDB round(CAST(v AS DOUBLE), n)
     exactly, including half-cent values where np.round (half-to-even)
     diverges."""
     import duckdb
-    import importlib.util
-    import sys
-    from pathlib import Path
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    spec = importlib.util.spec_from_file_location(
-        "entry_sqlcents", Path(__file__).resolve().parent.parent
-        / "__ray_entry__.py")
-    m = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(m)
+    from lingua_ray.stages.util import round_half_away
     vals = [0.125, -0.125, 0.135, 2.675, -2.675, 1.005, 0.0,
             123.455, 0.005, 12.5, -12.5]
-    ours = m._sql_cents(np.array(vals)).tolist()
-    duck = [duckdb.sql(
-        f"SELECT CAST(round(CAST({v!r} AS DOUBLE) * 100) AS BIGINT)"
-    ).fetchone()[0] for v in vals]
+    ours = round_half_away(np.array(vals), 2).tolist()
+    duck = [duckdb.sql(f"SELECT round(CAST({v!r} AS DOUBLE), 2)"
+                       ).fetchone()[0] for v in vals]
     assert ours == duck
-    assert ours[0] == 13 and int(np.round(0.125 * 100)) == 12  # the gap
+    assert ours[0] == 0.13 and np.round(0.125, 2) == 0.12  # the gap

@@ -14,8 +14,8 @@ import pyarrow.parquet as pq
 import pytest
 
 # documents-only, SQL-verified operators with deterministic-exact
-# semantics (transcript/events ones need their own generated fixtures
-# and are covered by the sf gates; word_heavy_hitters legitimately
+# semantics (transcript ones need their own generated fixture, see
+# TRANSCRIPT_OPS below; word_heavy_hitters legitimately
 # REFUSES tiny inputs it cannot certify; dedup_incremental_bloom is
 # superset-semantics by design).  This harness caught three real
 # divergences the null-free sf fixtures never could: DuckDB trim()
@@ -146,64 +146,6 @@ def test_null_keys_form_their_own_group(ray_session, tmp_path):
         got = got.to_pandas()
         want = con.execute(E.oracle_sql()[name]).df()
         assert _rows(got) == _rows(want), name
-
-
-EVENT_OPS = ["events_sessions", "events_hourly", "events_stats",
-             "events_lag", "events_sliding", "events_cumsum",
-             "events_funnel", "events_funnel_count", "events_retention",
-             "events_top_spenders", "events_last_per_user",
-             "events_value_salted", "events_rollup", "events_pivot",
-             "events_attribution", "events_dau", "events_anomaly_zscore"]
-
-
-def _random_events(rng: np.random.Generator, n: int) -> pa.Table:
-    """Heavy exact-timestamp ties, one hot user, negative values, events
-    before 1970 (on and just before a day boundary) — the tie-break, skew
-    and negative-epoch edges the fixture's smooth event stream never
-    produces."""
-    base = np.int64(1_700_000_000_000_000)
-    ts = (base + rng.integers(0, 50, n) * np.int64(3_600_000_000)
-          + rng.integers(0, 4, n) * np.int64(60_000_000))
-    day = np.int64(86_400_000_000)
-    ts[3::37] = np.array([-day, -1, -400 * day + 1, -day - 1,
-                          -2 * day])[np.arange(len(ts[3::37])) % 5]
-    users = rng.choice([1, 2, 3, 42, 42, 42, 99], size=n)
-    et = rng.choice(["view", "click", "purchase", "signup", "error"], n)
-    val = np.round(rng.normal(0, 50, n), 2)
-    props = rng.choice(["", "a=1", "x", "long" * 10], n)
-    return pa.table({
-        "event_id": pa.array(np.arange(n, dtype=np.int64)),
-        "ts": pa.array(ts).cast(pa.timestamp("us")),
-        "user_id": pa.array(users.astype(np.int64)),
-        "event_type": pa.array([str(x) for x in et]),
-        "value": pa.array(val),
-        "props": pa.array([str(x) for x in props])})
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_events_ops_match_oracle_on_tied_skewed_input(
-        ray_session, tmp_path, seed):
-    import __ray_entry__ as E
-    rng = np.random.default_rng(seed)
-    ev = _random_events(rng, 400)
-    d = tmp_path / f"ev{seed}"
-    d.mkdir()
-    pq.write_table(ev, d / "events.parquet")
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW events AS SELECT * FROM "
-                f"read_parquet('{d}/events.parquet')")
-    oracles = E.oracle_sql()
-    qs = E.queries()
-    for name in EVENT_OPS:
-        got = qs[name](str(d))
-        if not isinstance(got, (pa.Table, pd.DataFrame)):
-            got = got.to_pandas()
-        elif isinstance(got, pa.Table):
-            got = got.to_pandas()
-        want = con.execute(oracles[name]).df()
-        pd.testing.assert_frame_equal(_canon(got), _canon(want),
-                                      check_dtype=False,
-                                      obj=f"{name} (seed {seed})")
 
 
 # transcript-table ops: the fixture generator is monkeypatched so BOTH

@@ -1,5 +1,4 @@
-"""Deterministic shuffle, ROLLUP counts, and percent_rank vs scalar
-oracles."""
+"""Deterministic shuffle and percent_rank vs scalar oracles."""
 
 import hashlib
 
@@ -7,7 +6,6 @@ import numpy as np
 import pyarrow as pa
 
 from lingua_ray.functions.quantiles import percent_rank_column
-from lingua_ray.functions.rollup import rollup_counts
 from lingua_ray.stages.shuffle import deterministic_shuffle
 
 
@@ -40,25 +38,6 @@ def test_shuffle_bucket_width_preserves_global_order(ray_session):
     order_b = [r["doc_id"] for r in
                sorted(b, key=lambda r: (r["bucket"], r["pos"]))]
     assert order_a == order_b  # shard boundaries move, the order doesn't
-
-
-def test_rollup_counts_matches_bruteforce(ray_session):
-    import ray.data
-    rng = np.random.default_rng(6)
-    a = rng.choice(["x", "y", "z"], 1000)
-    b = rng.integers(0, 4, 1000)
-    t = pa.table({"a": pa.array(a), "b": pa.array(b.astype(np.int64))})
-    got = {(r["a"], r["b"]): r["n"] for r in
-           rollup_counts(ray.data.from_arrow(t).repartition(6),
-                         ["a", "b"]).take_all()}
-    import collections
-    finest = collections.Counter(zip(a, (int(x) for x in b)))
-    for (ka, kb), n in finest.items():
-        assert got[(ka, kb)] == n
-    for ka in set(a):
-        assert got[(ka, None)] == int((a == ka).sum())
-    assert got[(None, None)] == 1000
-    assert len(got) == len(finest) + len(set(a)) + 1
 
 
 def test_percent_rank_matches_sql_semantics(ray_session):

@@ -42,7 +42,7 @@ def main():
     import __ray_entry__ as E
 
     con = duckdb.connect()
-    for t in ("documents", "events", "embeddings"):
+    for t in ("documents", "embeddings"):
         con.execute(
             f"CREATE VIEW {t} AS SELECT * FROM "
             f"read_parquet('{sf_dir}/{t}.parquet')")

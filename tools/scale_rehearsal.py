@@ -15,8 +15,6 @@ Replication is structure-preserving, not degenerate:
   exact-duplicate groups — see _rotate_words).
 - embeddings: vec_id → vec_id*10+rep, vector np.roll'ed by rep
   (norm-preserving, direction-changing).
-- events: event_id → event_id*10+rep, user_id → user_id*10+rep (10×
-  users, each keeping the original session/funnel timeline shape).
 
 Usage:  python tools/scale_rehearsal.py [--queries q1,q2,...]
 """
@@ -48,9 +46,8 @@ DEFAULT_QUERIES = [
     "substring_dedup_sampled", "substring_dedup_winnowed",
     "session_turn_dedup", "conv_lang_switches", "conv_neardup",
     "doc_tfidf", "inverted_index", "bm25_topk", "semantic_dedup",
-    "events_sessions",
     # round-5 curation tranche representatives
-    "dedup_keep_best", "redpajama_signals", "events_dau",
+    "dedup_keep_best", "redpajama_signals",
     "conv_duration_stats", "repeated_prefix_convs",
 ]
 
@@ -113,19 +110,6 @@ def ensure_scaled(dst: Path = DST, src: str = SRC, reps: int = REPS) -> Path:
                                   pa.list_(pa.float32())),
             "label": emb.column("label").combine_chunks()}))
     pq.write_table(pa.concat_tables(outs), dst / "embeddings.parquet")
-
-    ev = pq.read_table(f"{src}/events.parquet")
-    outs = []
-    for rep in range(reps):
-        outs.append(pa.table({
-            "event_id": pc.add(pc.multiply(ev.column("event_id"), reps),
-                               rep),
-            "ts": ev.column("ts").combine_chunks(),
-            "user_id": pc.add(pc.multiply(ev.column("user_id"), reps), rep),
-            "event_type": ev.column("event_type").combine_chunks(),
-            "value": ev.column("value").combine_chunks(),
-            "props": ev.column("props").combine_chunks()}))
-    pq.write_table(pa.concat_tables(outs), dst / "events.parquet")
 
     marker.write_text(json.dumps({
         "src": src, "reps": reps,
